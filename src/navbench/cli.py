@@ -32,10 +32,9 @@ def _trial_cfg(args) -> TrialConfig:
                        compute_cost_mode=args.cost_mode, timeout=args.timeout)
 
 
-def _planner_cfgs(args):
-    dwa_cfg = load_planner_config(args.dwa_config, "dwa") if args.dwa_config else None
-    teb_cfg = load_planner_config(args.teb_config, "teb") if args.teb_config else None
-    return dwa_cfg, teb_cfg
+def _planner_cfgs(args) -> dict:
+    paths = {"dwa": args.dwa_config, "teb": args.teb_config}
+    return {name: load_planner_config(path, name) for name, path in paths.items() if path}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,10 +78,9 @@ def main(argv=None) -> int:
             for p in planners:
                 if p not in PLANNERS:
                     raise BenchError(f"unknown planner {p!r}")
-            dwa_cfg, teb_cfg = _planner_cfgs(args)
             suite = run_suite(args.suite, planners, _trial_cfg(args), args.out,
                               jobs=args.jobs, svg=args.svg,
-                              dwa_cfg=dwa_cfg, teb_cfg=teb_cfg)
+                              planner_cfgs=_planner_cfgs(args))
             for result in suite.results:
                 print(f"{result.metadata['group']:18s} {result.scenario_name:16s} "
                       f"pair {result.pair_index} {result.planner:4s} "
@@ -95,9 +93,8 @@ def main(argv=None) -> int:
 
         if args.command == "trial":
             scn = load_scenario(args.scene)
-            dwa_cfg, teb_cfg = _planner_cfgs(args)
             result = run_trial(scn, args.planner, args.pair, _trial_cfg(args),
-                               dwa_cfg=dwa_cfg, teb_cfg=teb_cfg)
+                               _planner_cfgs(args).get(args.planner))
             os.makedirs(args.out, exist_ok=True)
             csv_path = os.path.join(args.out, trial_filename(
                 "trial", scn.name, args.pair, args.planner))

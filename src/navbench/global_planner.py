@@ -38,13 +38,6 @@ class GlobalPath:
     def __len__(self):
         return len(self.points)
 
-    def arclengths(self) -> np.ndarray:
-        pts = np.asarray(self.points)
-        if len(pts) < 2:
-            return np.zeros(len(pts))
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        return np.concatenate([[0.0], np.cumsum(seg)])
-
 
 def _path_from_points(points) -> GlobalPath:
     deduped = []

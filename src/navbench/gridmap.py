@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -38,33 +38,20 @@ class UnknownAs(enum.Enum):
 
 
 @dataclass(frozen=True)
-class OccupancyGrid:
+class GridGeometry:
+    """Extent of a cell grid in the world: width x height cells of side
+    `resolution` meters, with cell (0, 0) at `origin`."""
+
     width: int
     height: int
     resolution: float
     origin: tuple[float, float]
-    cells: np.ndarray  # (height, width) uint8 of CellState values
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValidationError("grid must be at least 1x1")
         if not self.resolution > 0:
             raise ValidationError("grid resolution must be positive")
-        arr = np.asarray(self.cells, dtype=np.uint8)
-        if arr.shape != (self.height, self.width):
-            raise ValidationError(
-                f"cells shape {arr.shape} does not match ({self.height}, {self.width})"
-            )
-        if arr.max(initial=0) > 2:
-            raise ValidationError("cell values must be 0 (free), 1 (occupied) or 2 (unknown)")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "cells", arr)
-
-    @classmethod
-    def full_free(cls, width, height, resolution, origin=(0.0, 0.0)):
-        return cls(width, height, resolution, origin,
-                   np.zeros((height, width), dtype=np.uint8))
 
     @property
     def size_x(self) -> float:
@@ -91,6 +78,29 @@ class OccupancyGrid:
         ox, oy = self.origin
         return (ox + (ix + 0.5) * self.resolution, oy + (iy + 0.5) * self.resolution)
 
+
+@dataclass(frozen=True)
+class OccupancyGrid(GridGeometry):
+    cells: np.ndarray  # (height, width) uint8 of CellState values
+
+    def __post_init__(self):
+        super().__post_init__()
+        arr = np.asarray(self.cells, dtype=np.uint8)
+        if arr.shape != (self.height, self.width):
+            raise ValidationError(
+                f"cells shape {arr.shape} does not match ({self.height}, {self.width})"
+            )
+        if arr.max(initial=0) > 2:
+            raise ValidationError("cell values must be 0 (free), 1 (occupied) or 2 (unknown)")
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "cells", arr)
+
+    @classmethod
+    def full_free(cls, width, height, resolution, origin=(0.0, 0.0)):
+        return cls(width, height, resolution, origin,
+                   np.zeros((height, width), dtype=np.uint8))
+
     def with_cells(self, cells: np.ndarray) -> "OccupancyGrid":
         return OccupancyGrid(self.width, self.height, self.resolution, self.origin, cells)
 
@@ -98,21 +108,15 @@ class OccupancyGrid:
         ix, iy = self.cell_index(x, y)
         return CellState(int(self.cells[iy, ix]))
 
-    def count(self, state: CellState) -> int:
-        return int((self.cells == state).sum())
-
 
 @dataclass(frozen=True)
-class DistanceField:
+class DistanceField(GridGeometry):
     """Per-cell distance (meters) to the nearest occupied cell center."""
 
-    width: int
-    height: int
-    resolution: float
-    origin: tuple[float, float]
     values: np.ndarray  # (height, width) float64; +inf if the grid has no obstacle
 
     def __post_init__(self):
+        super().__post_init__()
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.height, self.width):
             raise ValidationError("distance field shape mismatch")
@@ -120,18 +124,6 @@ class DistanceField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_all_finite", bool(np.isfinite(vals).all()))
-
-    @property
-    def size_x(self) -> float:
-        return self.width * self.resolution
-
-    @property
-    def size_y(self) -> float:
-        return self.height * self.resolution
-
-    def contains(self, x: float, y: float) -> bool:
-        ox, oy = self.origin
-        return ox <= x < ox + self.size_x and oy <= y < oy + self.size_y
 
 
 @dataclass(frozen=True)
@@ -160,41 +152,38 @@ def beam_count(spec: ScanSpec) -> int:
 
 @dataclass(frozen=True)
 class LaserScan:
-    angle_min: float
-    angle_max: float
-    angle_increment: float
-    range_min: float
-    range_max: float
-    ranges: np.ndarray
+    spec: ScanSpec
+    ranges: np.ndarray  # one range per beam, beam k at angle_min + k * angle_increment
 
     def __post_init__(self):
         r = np.asarray(self.ranges, dtype=np.float64)
-        expected = beam_count(ScanSpec(self.angle_min, self.angle_max,
-                                       self.angle_increment, self.range_min, self.range_max))
+        expected = beam_count(self.spec)
         if r.shape != (expected,):
             raise ValidationError(f"expected {expected} ranges, got {r.shape}")
         finite = r[np.isfinite(r)]
-        if finite.size and (finite.min() < self.range_min - 1e-9
-                            or finite.max() > self.range_max + 1e-9):
+        if finite.size and (finite.min() < self.spec.range_min - 1e-9
+                            or finite.max() > self.spec.range_max + 1e-9):
             raise ValidationError("scan ranges outside [range_min, range_max]")
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "ranges", r)
-
-    def angles(self) -> np.ndarray:
-        return self.angle_min + self.angle_increment * np.arange(len(self.ranges))
 
 
 # ---------------------------------------------------------------------------
 # distance transform + interpolation
 
 
+def _obstacles(grid: OccupancyGrid, unknown_as: UnknownAs) -> np.ndarray:
+    """(height, width) mask of the cells a distance transform measures from."""
+    if unknown_as is UnknownAs.OCCUPIED:
+        return grid.cells != CellState.FREE
+    return grid.cells == CellState.OCCUPIED
+
+
 def distance_transform(grid: OccupancyGrid, unknown_as: UnknownAs = UnknownAs.FREE) -> DistanceField:
     """Exact Euclidean distance (m) from every cell center to the nearest
     occupied cell center.  Grids without any obstacle yield +inf everywhere."""
-    occ = grid.cells == CellState.OCCUPIED
-    if unknown_as is UnknownAs.OCCUPIED:
-        occ = occ | (grid.cells == CellState.UNKNOWN)
+    occ = _obstacles(grid, unknown_as)
     if not occ.any():
         values = np.full((grid.height, grid.width), np.inf)
     else:
@@ -207,9 +196,7 @@ def signed_distance_field(grid: OccupancyGrid,
     """Signed variant for gradient-based planners: positive clearance outside
     obstacles, negative penetration depth inside, so the gradient keeps
     pointing out of occupied regions."""
-    occ = grid.cells == CellState.OCCUPIED
-    if unknown_as is UnknownAs.OCCUPIED:
-        occ = occ | (grid.cells == CellState.UNKNOWN)
+    occ = _obstacles(grid, unknown_as)
     if not occ.any():
         values = np.full((grid.height, grid.width), np.inf)
     elif occ.all():
@@ -327,10 +314,19 @@ def distance_at_clamped(field: DistanceField, x: float, y: float) -> float:
 # raycasting and scan integration
 
 
-def _dda_setup(grid: OccupancyGrid, px, py, dx, dy):
-    """Per-beam traversal state for exact cell-crossing marching."""
+def _march(grid: GridGeometry, px, py, dx, dy, t_stop, blocking):
+    """Exact cell-crossing traversal of rays from (px, py) along the unit
+    directions (dx, dy) (Amanatides & Woo, 1987).
+
+    A ray stops when it leaves the grid, when it enters a cell at distance
+    >= t_stop (a scalar or one value per ray), or when it meets a cell set in
+    `blocking` (a (height, width) bool mask, or None).  Returns the entry
+    distance of each ray's blocking cell (+inf where it met none) and the
+    (height, width) mask of the cells the rays traversed.
+    """
     ox, oy = grid.origin
     res = grid.resolution
+    w, h = grid.width, grid.height
     ix = np.floor((px - ox) / res).astype(np.int64)
     iy = np.floor((py - oy) / res).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -344,7 +340,39 @@ def _dda_setup(grid: OccupancyGrid, px, py, dx, dy):
     tmy = np.where(np.isnan(tmy), np.inf, tmy)
     sx = np.sign(dx).astype(np.int64)
     sy = np.sign(dy).astype(np.int64)
-    return ix, iy, tmx, tmy, tdx, tdy, sx, sy
+
+    t_stop = np.broadcast_to(t_stop, ix.shape)
+    t_entry = np.zeros(ix.shape)
+    t_hit = np.full(ix.shape, np.inf)
+    traversed = np.zeros(h * w, dtype=bool)
+    blocks = None if blocking is None else blocking.ravel()
+    active = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h) & (t_stop > 0)
+    while active.any():
+        idx = np.nonzero(active)[0]
+        cell = iy[idx] * w + ix[idx]
+        traversed[cell] = True
+        if blocks is not None:
+            hit = blocks[cell]
+            if hit.any():
+                hidx = idx[hit]
+                t_hit[hidx] = t_entry[hidx]
+                active[hidx] = False
+                idx = idx[~hit]
+                if idx.size == 0:
+                    continue
+        step_x = tmx[idx] <= tmy[idx]
+        xs_i = idx[step_x]
+        ys_i = idx[~step_x]
+        t_entry[xs_i] = tmx[xs_i]
+        ix[xs_i] += sx[xs_i]
+        tmx[xs_i] += tdx[xs_i]
+        t_entry[ys_i] = tmy[ys_i]
+        iy[ys_i] += sy[ys_i]
+        tmy[ys_i] += tdy[ys_i]
+        dead = (t_entry[idx] >= t_stop[idx]) | (ix[idx] < 0) | (ix[idx] >= w) \
+            | (iy[idx] < 0) | (iy[idx] >= h)
+        active[idx[dead]] = False
+    return t_hit, traversed.reshape(h, w)
 
 
 def raycast(world: OccupancyGrid, pose, spec: ScanSpec = ScanSpec()) -> LaserScan:
@@ -357,87 +385,35 @@ def raycast(world: OccupancyGrid, pose, spec: ScanSpec = ScanSpec()) -> LaserSca
     x, y, theta = pose
     if not world.contains(x, y):
         raise OutOfBoundsError("raycast pose outside grid")
-    n = beam_count(spec)
-    ang = theta + spec.angle_min + spec.angle_increment * np.arange(n)
+    ang = theta + spec.angle_min + spec.angle_increment * np.arange(beam_count(spec))
     dx = np.cos(ang)
     dy = np.sin(ang)
     px = x + spec.range_min * dx
     py = y + spec.range_min * dy
-
-    ranges = np.full(n, spec.range_max, dtype=np.float64)
-    budget = spec.range_max - spec.range_min
-
-    ix, iy, tmx, tmy, tdx, tdy, sx, sy = _dda_setup(world, px, py, dx, dy)
-    t_entry = np.zeros(n)
-    active = (ix >= 0) & (ix < world.width) & (iy >= 0) & (iy < world.height)
-    cells = world.cells
-    occupied = CellState.OCCUPIED
-
-    while active.any():
-        idx = np.nonzero(active)[0]
-        hit = cells[iy[idx], ix[idx]] == occupied
-        if hit.any():
-            hidx = idx[hit]
-            ranges[hidx] = spec.range_min + t_entry[hidx]
-            active[hidx] = False
-            idx = idx[~hit]
-            if idx.size == 0:
-                continue
-        step_x = tmx[idx] <= tmy[idx]
-        xs_i = idx[step_x]
-        ys_i = idx[~step_x]
-        t_entry[xs_i] = tmx[xs_i]
-        ix[xs_i] += sx[xs_i]
-        tmx[xs_i] += tdx[xs_i]
-        t_entry[ys_i] = tmy[ys_i]
-        iy[ys_i] += sy[ys_i]
-        tmy[ys_i] += tdy[ys_i]
-        dead = (t_entry[idx] >= budget) | (ix[idx] < 0) | (ix[idx] >= world.width) \
-            | (iy[idx] < 0) | (iy[idx] >= world.height)
-        active[idx[dead]] = False
-
-    return LaserScan(spec.angle_min, spec.angle_max, spec.angle_increment,
-                     spec.range_min, spec.range_max, ranges)
+    t_hit, _ = _march(world, px, py, dx, dy, spec.range_max - spec.range_min,
+                      world.cells == CellState.OCCUPIED)
+    ranges = np.where(np.isfinite(t_hit), spec.range_min + t_hit, spec.range_max)
+    return LaserScan(spec, ranges)
 
 
 def integrate_scan(known: OccupancyGrid, pose, scan: LaserScan) -> OccupancyGrid:
     """Fuse a scan into the map: carve traversed cells Free, mark hit cells
     Occupied.  Cells already Occupied in `known` are never demoted."""
     x, y, theta = pose
+    spec = scan.spec
     res = known.resolution
     eps = res * 1e-6
-    n = len(scan.ranges)
-    ang = theta + scan.angles()
+    # Parenthesized as written: this rounds differently from raycast's angles.
+    ang = theta + (spec.angle_min + spec.angle_increment * np.arange(len(scan.ranges)))
     dx = np.cos(ang)
     dy = np.sin(ang)
-    px = x + scan.range_min * dx
-    py = y + scan.range_min * dy
+    px = x + spec.range_min * dx
+    py = y + spec.range_min * dy
 
     r = np.asarray(scan.ranges)
-    has_hit = r < scan.range_max - 1e-9
-    t_lim = np.minimum(r, scan.range_max) - scan.range_min
-
-    ix, iy, tmx, tmy, tdx, tdy, sx, sy = _dda_setup(known, px, py, dx, dy)
-    t_entry = np.zeros(n)
-    active = (ix >= 0) & (ix < known.width) & (iy >= 0) & (iy < known.height)
-    active &= t_lim > eps
-
-    carve = np.zeros((known.height, known.width), dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        carve[iy[idx], ix[idx]] = True
-        step_x = tmx[idx] <= tmy[idx]
-        xs_i = idx[step_x]
-        ys_i = idx[~step_x]
-        t_entry[xs_i] = tmx[xs_i]
-        ix[xs_i] += sx[xs_i]
-        tmx[xs_i] += tdx[xs_i]
-        t_entry[ys_i] = tmy[ys_i]
-        iy[ys_i] += sy[ys_i]
-        tmy[ys_i] += tdy[ys_i]
-        dead = (t_entry[idx] >= t_lim[idx] - eps) | (ix[idx] < 0) | (ix[idx] >= known.width) \
-            | (iy[idx] < 0) | (iy[idx] >= known.height)
-        active[idx[dead]] = False
+    has_hit = r < spec.range_max - 1e-9
+    t_lim = np.minimum(r, spec.range_max) - spec.range_min
+    _, carve = _march(known, px, py, dx, dy, t_lim - eps, None)
 
     new = np.array(known.cells)
     new[carve & (new != CellState.OCCUPIED)] = CellState.FREE

@@ -13,13 +13,15 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import BenchError, NoPathError, ParseError, PlanInputError, ValidationError
+from .errors import NoPathError, ParseError, PlanInputError, ValidationError
+# Call-site contract: run_trial calls these names as module globals (raycast
+# first in each tick, LogRecord last), so wrapping a global here sees each call.
 from .global_planner import extract_local_reference, plan_global
-from .gridmap import (CellState, UnknownAs, crop_local, distance_at_clamped,
+from .gridmap import (UnknownAs, crop_local, distance_at_clamped,
                       distance_transform, integrate_scan, raycast)
-from .local_planners import DwaConfig, TebConfig, LocalPlanRequest, PlannerStatus, plan
+from .local_planners import CONFIGS, LocalPlanRequest, PlannerStatus, plan
 from .metrics import (LogRecord, MetricsConfig, MetricsReport, NavLog, Outcome,
                       compute_report, write_log_csv)
 from .robot import KinematicLimits, RobotState, VelocityCommand, clamp_command, step, wrap_angle
@@ -62,7 +64,6 @@ class TrialResult:
     log: NavLog
     report: MetricsReport
     metadata: dict
-    unknown_counts: tuple  # sensed-map Unknown cells, one entry per tick
 
     @property
     def outcome(self) -> Outcome:
@@ -81,12 +82,10 @@ def _goal_reached(robot: RobotState, goal, cfg: TrialConfig) -> bool:
 
 
 def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
-              cfg: TrialConfig = TrialConfig(),
-              dwa_cfg: DwaConfig | None = None,
-              teb_cfg: TebConfig | None = None) -> TrialResult:
+              cfg: TrialConfig = TrialConfig(), planner_cfg=None) -> TrialResult:
     if not 0 <= pair_index < len(scenario.start_goal_pairs):
         raise ValidationError(f"pair index {pair_index} invalid for {scenario.name!r}")
-    planner_cfg = {"dwa": dwa_cfg or DwaConfig(), "teb": teb_cfg or TebConfig()}[planner_name]
+    planner_cfg = planner_cfg or CONFIGS[planner_name]()
 
     wall_start = time.perf_counter()
     limits = KinematicLimits()
@@ -99,7 +98,6 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
     replan_every_tick = scenario.has_unknown_prior or bool(agents)
 
     records = []
-    unknown_counts = []
     t = 0.0
     infeasible_streak = 0
     global_path = None
@@ -130,7 +128,6 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         # enter the planning grids through per-tick stamping only.
         scan = raycast(truth, robot.pose(), scenario.scan_spec)
         sensed = integrate_scan(sensed, robot.pose(), scan)
-        unknown_counts.append(sensed.count(CellState.UNKNOWN))
         tick_map = stamp_agents(sensed, agents)
         sensed_field = distance_transform(tick_map, UnknownAs.FREE)
         if agents:
@@ -220,7 +217,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         "wall_ms": f"{wall_ms:.3f}",
     }
     return TrialResult(scenario, scenario.name, planner_name, pair_index,
-                       log, report, metadata, tuple(unknown_counts))
+                       log, report, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +257,8 @@ def trial_filename(group: str, scenario: str, pair: int, planner: str) -> str:
 
 
 def _run_one(args):
-    scenario, planner, pair, cfg, dwa_cfg, teb_cfg = args
-    return run_trial(scenario, planner, pair, cfg, dwa_cfg=dwa_cfg, teb_cfg=teb_cfg)
+    scenario, planner, pair, cfg, planner_cfg = args
+    return run_trial(scenario, planner, pair, cfg, planner_cfg)
 
 
 @dataclass
@@ -274,8 +271,9 @@ class SuiteResult:
 
 def run_suite(manifest_path, planners, cfg: TrialConfig, out_dir,
               jobs: int = 1, svg: bool = False,
-              dwa_cfg: DwaConfig | None = None,
-              teb_cfg: TebConfig | None = None) -> SuiteResult:
+              planner_cfgs: dict | None = None) -> SuiteResult:
+    """Run every pair of every scene with every planner; `planner_cfgs` maps
+    a planner name to its config (default config where absent)."""
     from .report import write_group_tables
     from .svgplot import emit_trajectory_svg
 
@@ -291,7 +289,8 @@ def run_suite(manifest_path, planners, cfg: TrialConfig, out_dir,
 
     results = []
     crashed = []
-    work = [(scn, planner, pair, cfg, dwa_cfg, teb_cfg)
+    planner_cfgs = planner_cfgs or {}
+    work = [(scn, planner, pair, cfg, planner_cfgs.get(planner))
             for _, scn, planner, pair in jobs_spec]
     outputs = []
     if jobs > 1:

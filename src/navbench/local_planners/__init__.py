@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 
 from ..errors import ParseError
 from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
@@ -11,32 +11,25 @@ from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
 from .dwa import DwaConfig, dwa_plan, dynamic_window
 from .teb import BandProblem, TebConfig, optimize_band, teb_plan
 
-PLANNERS = ("dwa", "teb")
+CONFIGS = {"dwa": DwaConfig, "teb": TebConfig}
+PLANNERS = tuple(CONFIGS)
 
 
 def plan(name: str, req: LocalPlanRequest, cfg=None) -> PlannerOutput:
-    if name == "dwa":
-        return dwa_plan(req, cfg or DwaConfig())
-    if name == "teb":
-        return teb_plan(req, cfg or TebConfig())
-    raise ValueError(f"unknown planner {name!r}; expected one of {PLANNERS}")
-
-
-def default_config(name: str):
-    if name == "dwa":
-        return DwaConfig()
-    if name == "teb":
-        return TebConfig()
-    raise ValueError(f"unknown planner {name!r}")
+    """Run planner `name` with `cfg`, or with its default config.  The plan
+    function is the module global `<name>_plan`, looked up at call time."""
+    if name not in CONFIGS:
+        raise ValueError(f"unknown planner {name!r}; expected one of {PLANNERS}")
+    return globals()[f"{name}_plan"](req, cfg or CONFIGS[name]())
 
 
 def load_planner_config(path, name: str):
-    """Parse a `.cfg` file of `key value` lines into a planner config.
-    Unknown keys are rejected."""
-    cls = {"dwa": DwaConfig, "teb": TebConfig}.get(name)
+    """Parse a `.cfg` file of `key value` lines into a planner config; each
+    value is parsed as its field's declared type.  Unknown keys are rejected."""
+    cls = CONFIGS.get(name)
     if cls is None:
         raise ValueError(f"unknown planner {name!r}")
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    types = typing.get_type_hints(cls)
     values = {}
     with open(path, "r", encoding="utf-8") as f:
         for ln, line in enumerate(f.read().splitlines(), start=1):
@@ -47,11 +40,10 @@ def load_planner_config(path, name: str):
             if len(parts) != 2:
                 raise ParseError("expected 'key value'", path=path, line=ln)
             key, raw = parts
-            if key not in fields:
+            if key not in types:
                 raise ParseError(f"unknown {name} config key {key!r}", path=path, line=ln)
             try:
-                values[key] = int(raw) if key.startswith("n_") or key.endswith("_iterations") \
-                    else float(raw)
+                values[key] = types[key](raw)
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=ln)
     return cls(**values)

@@ -60,18 +60,16 @@ class BandProblem:
     dt_0, ..., dt_{n-2}]; pose 0 is pinned to the robot pose.
     """
 
+    # Residual blocks in stacking order; each name has a `block_<name>` method.
     BLOCKS = ("time", "obstacle", "velocity", "angular_velocity",
-              "acceleration", "angular_acceleration", "boundary_acceleration",
-              "nonholonomic", "goal")
+              "acceleration", "angular_acceleration", "nonholonomic", "goal")
 
-    def __init__(self, start_pose, field, goal, limits, cfg: TebConfig,
-                 start_velocity=(0.0, 0.0)):
+    def __init__(self, start_pose, field, goal, limits, cfg: TebConfig):
         self.p0 = tuple(start_pose)
         self.field = field
         self.goal = tuple(goal)
         self.limits = limits
         self.cfg = cfg
-        self.v_start, self.w_start = start_velocity
         self.n = cfg.n_poses
         self.m = self.n - 1                    # segments == free poses
         self.nv = 3 * self.m + self.m          # variables
@@ -313,17 +311,8 @@ class BandProblem:
 
     def residual_blocks(self, z, with_jacobian=False):
         g = self._geometry(z)
-        fns = {
-            "time": self.block_time,
-            "obstacle": self.block_obstacle,
-            "velocity": self.block_velocity,
-            "angular_velocity": self.block_angular_velocity,
-            "acceleration": self.block_acceleration,
-            "angular_acceleration": self.block_angular_acceleration,
-            "nonholonomic": self.block_nonholonomic,
-            "goal": self.block_goal,
-        }
-        return {name: fns[name](g, with_jacobian) for name in self.BLOCKS}
+        return {name: getattr(self, f"block_{name}")(g, with_jacobian)
+                for name in self.BLOCKS}
 
     def residuals(self, z) -> np.ndarray:
         blocks = self.residual_blocks(z, with_jacobian=False)
@@ -394,11 +383,7 @@ def _resample_polyline(points, n: int):
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     keep = seg > 1e-12
     if not keep.all():
-        filtered = [pts[0]]
-        for p, ok in zip(pts[1:], keep):
-            if ok:
-                filtered.append(p)
-        pts = np.asarray(filtered)
+        pts = pts[np.concatenate([[True], keep])]
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]

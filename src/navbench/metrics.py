@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,19 +110,12 @@ def safety_exposure(log: NavLog, cfg: MetricsConfig = MetricsConfig()) -> float:
     if len(log) < 2:
         raise ValidationError("exposure needs at least two records")
     t = log.column("t")
-    below = log.column("d") <= cfg.d_safe
-    total = 0.0
-    i = 0
-    n = len(log)
-    while i < n:
-        if below[i]:
-            j = i
-            while j + 1 < n and below[j + 1]:
-                j += 1
-            total += t[j] - t[i]
-            i = j + 1
-        else:
-            i += 1
+    below = (log.column("d") <= cfg.d_safe).astype(np.int8)
+    edges = np.diff(np.concatenate(([0], below, [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    # cumsum adds the run durations strictly in order, like a running total
+    total = np.cumsum(t[ends] - t[starts])[-1] if starts.size else 0.0
     return float(total / (t[-1] - t[0]) * 100.0)
 
 

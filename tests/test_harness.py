@@ -1,0 +1,89 @@
+import os
+from collections import Counter
+
+import pytest
+
+import navbench.local_planners as local_planners
+from navbench import cli, harness
+from navbench.metrics import Outcome, write_log_csv
+from navbench.suitegen import propose_pairs
+from navbench.world import Scenario, save_scenario
+from navbench.worldgen import WorldParams, generate_world
+
+TICKS = 8
+CFG = harness.TrialConfig(compute_cost_mode="iterations",
+                          timeout=TICKS * harness.TrialConfig.control_period)
+
+
+@pytest.fixture(scope="module")
+def suite(tmp_path_factory):
+    """A one-scene, one-pair suite on a small generated office."""
+    root = tmp_path_factory.mktemp("suite")
+    grid = generate_world("office", WorldParams(7.0, 6.0, clutter=2), seed=3)
+    pairs = propose_pairs(grid, 1, seed=5, min_euclid=3.0, max_path=9.0)
+    scn = Scenario(name="small_office", map=grid, prior_map=grid, start_goal_pairs=pairs)
+    save_scenario(scn, str(root / "small_office.scene"))
+    manifest = root / "small.suite"
+    manifest.write_text("group static\nscene small_office.scene\n")
+    return scn, str(manifest)
+
+
+def _rows(path):
+    with open(path, encoding="utf-8") as f:
+        return [ln for ln in f.read().splitlines() if not ln.startswith("#")]
+
+
+def test_iterations_trial_rows_repeat(suite, tmp_path):
+    scn, _ = suite
+    rows = []
+    for k in range(2):
+        result = harness.run_trial(scn, "dwa", 0, CFG)
+        assert result.outcome is Outcome.TIMEOUT
+        assert len(result.log) == TICKS
+        path = tmp_path / f"run{k}.csv"
+        write_log_csv(result.log, path, result.metadata)
+        rows.append(_rows(path))
+    assert rows[0] == rows[1]
+
+
+def _tables(directory):
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        if name.startswith("table_"):
+            with open(os.path.join(directory, name), "rb") as f:
+                out[name] = f.read()
+    return out
+
+
+def test_report_reproduces_run_suite_tables(suite, tmp_path):
+    _, manifest = suite
+    out = str(tmp_path / "out")
+    result = harness.run_suite(manifest, ["dwa"], CFG, out)
+    assert not result.crashed and len(result.results) == 1
+    written = _tables(out)
+    assert sorted(written) == ["table_static.csv", "table_static.md"]
+    for name in written:
+        os.remove(os.path.join(out, name))
+    assert cli.main(["report", "--in", out]) == 0
+    assert _tables(out) == written
+
+
+def test_wrapped_call_sites_fire_once_per_tick(suite, monkeypatch):
+    """Wrapping these module globals must see every tick (see harness imports)."""
+    scn, _ = suite
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("raycast", "plan", "LogRecord"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    monkeypatch.setattr(local_planners, "dwa_plan",
+                        counting("dwa_plan", local_planners.dwa_plan))
+    result = harness.run_trial(scn, "dwa", 0, CFG)
+    ticks = len(result.log)
+    assert ticks == TICKS
+    assert counts == {"raycast": ticks, "plan": ticks, "LogRecord": ticks, "dwa_plan": ticks}

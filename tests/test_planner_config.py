@@ -1,0 +1,34 @@
+import dataclasses
+
+import pytest
+
+from navbench.errors import ParseError
+from navbench.local_planners import CONFIGS, load_planner_config
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_cfg_roundtrip_keeps_field_types(name, tmp_path):
+    cls = CONFIGS[name]
+    default = cls()
+    path = tmp_path / f"{name}.cfg"
+    lines = ["# every field at its default"]
+    lines += [f"{f.name} {getattr(default, f.name)!r}" for f in dataclasses.fields(cls)]
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_planner_config(path, name)
+    assert loaded == default
+    for f in dataclasses.fields(cls):
+        assert type(getattr(loaded, f.name)) is type(getattr(default, f.name)), f.name
+
+
+@pytest.mark.parametrize("text, line", [
+    ("n_poses 12\nouter_iterations 2.5\n", 2),   # int field given a float
+    ("w_goal 1.0\n\nw_time fast\n", 3),          # not a number
+    ("# comment\nno_such_key 1\n", 2),           # unknown key
+])
+def test_bad_value_or_key_names_path_and_line(text, line, tmp_path):
+    path = tmp_path / "teb.cfg"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_planner_config(path, "teb")
+    assert err.value.line == line
+    assert str(err.value).startswith(f"{path}:{line}:")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navbench.gridmap import DistanceField
@@ -56,15 +56,20 @@ def test_step_straight_line():
 
 def _arc_oracle(state, v, w, dt):
     """Rotate the start point about the instantaneous center of curvature;
-    an independent derivation of the constant-twist arc."""
+    an independent derivation of the constant-twist arc.
+
+    The start point's offset from the center is p = r*(sin th, -cos th) with
+    r = v/w, and the rotation by a = w*dt moves it by (R(a) - I) p.  Adding
+    that displacement to the start, with cos(a) - 1 written as
+    -2*sin(a/2)**2, avoids summing the center and the rotated offset: both
+    are of size r, which grows without bound as w -> 0 and would cost the
+    oracle its precision long before the 1e-12 tolerance."""
     r = v / w
-    cx = state.x - r * math.sin(state.theta)
-    cy = state.y + r * math.cos(state.theta)
     a = w * dt
-    px, py = state.x - cx, state.y - cy
-    qx = px * math.cos(a) - py * math.sin(a)
-    qy = px * math.sin(a) + py * math.cos(a)
-    return cx + qx, cy + qy
+    px, py = r * math.sin(state.theta), -r * math.cos(state.theta)
+    cm1 = -2.0 * math.sin(0.5 * a) ** 2
+    sa = math.sin(a)
+    return state.x + cm1 * px - sa * py, state.y + sa * px + cm1 * py
 
 
 def test_step_circle_closed_form():
@@ -80,6 +85,8 @@ def test_step_circle_closed_form():
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-math.pi, math.pi),
        st.floats(-0.2, 0.55), st.floats(-1, 1).filter(lambda w: abs(w) > 1e-6),
        st.floats(0.01, 2.0))
+@example(0.0, 0.0, 0.0, 0.5, 1.8199181029189657e-06, 1.0)  # r = v/w ~ 2.7e5
+@example(0.0, 0.0, 1.0, 0.5, 1.8199181029189657e-06, 1.0)
 def test_step_matches_icc_rotation(x, y, th, v, w, dt):
     s = RobotState(x, y, th)
     out = step(s, VelocityCommand(v, w), dt)
