@@ -212,6 +212,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         "cost_mode": cfg.compute_cost_mode,
         "control_period": cfg.control_period,
         "physics_dt": cfg.physics_dt,
+        "d_safe": cfg.d_safe,
         "config_hash": _config_hash(cfg, planner_cfg),
         "outcome": outcome.value,
         "wall_ms": f"{wall_ms:.3f}",

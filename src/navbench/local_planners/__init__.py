@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing
 
-from ..errors import ParseError
+from ..errors import ParseError, ValidationError
 from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
                      forward_simulate, recovery_output, reference_target,
                      score_components, terminal_output, trajectory_min_clearance)
@@ -25,7 +25,8 @@ def plan(name: str, req: LocalPlanRequest, cfg=None) -> PlannerOutput:
 
 def load_planner_config(path, name: str):
     """Parse a `.cfg` file of `key value` lines into a planner config; each
-    value is parsed as its field's declared type.  Unknown keys are rejected."""
+    value is parsed as its field's declared type.  Unknown and repeated keys,
+    and values that break the config's invariants, raise `ParseError`."""
     cls = CONFIGS.get(name)
     if cls is None:
         raise ValueError(f"unknown planner {name!r}")
@@ -42,8 +43,13 @@ def load_planner_config(path, name: str):
             key, raw = parts
             if key not in types:
                 raise ParseError(f"unknown {name} config key {key!r}", path=path, line=ln)
+            if key in values:
+                raise ParseError(f"{name} config key {key!r} given twice", path=path, line=ln)
             try:
                 values[key] = types[key](raw)
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=ln)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ParseError(str(exc), path=path)

@@ -15,7 +15,7 @@ from ..errors import PlanInputError, ValidationError
 from ..global_planner import GlobalPath
 from ..gridmap import DistanceField, OccupancyGrid, sample_field
 from ..robot import (KinematicLimits, RobotState, VelocityCommand,
-                     clamp_command, step, wrap_angle)
+                     arc_step, clamp_command, wrap_angle)
 
 
 class PlannerStatus(enum.Enum):
@@ -76,109 +76,119 @@ def reference_target(req: LocalPlanRequest) -> tuple[float, float, float]:
     return (tx, ty, th)
 
 
-def forward_simulate(state: RobotState, v: float, omega: float,
-                     n_steps: int, dt: float) -> np.ndarray:
-    """Roll a constant command out with exact arc steps.
+def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np.ndarray:
+    """Roll constant commands out with exact arc steps from the current pose.
 
-    Returns an (n_steps + 1, 4) array of (x, y, theta, t) starting at the
-    current pose.
+    Scalar (v, omega) give an (n_steps + 1, 4) array of (x, y, theta, t);
+    arrays of shape S give S + (n_steps + 1, 4).
     """
-    out = np.empty((n_steps + 1, 4))
-    out[0] = (state.x, state.y, state.theta, 0.0)
-    cmd = VelocityCommand(v, omega)
-    s = state
+    v, omega = np.broadcast_arrays(v, omega)
+    out = np.empty(v.shape + (n_steps + 1, 4))
+    out[..., 3] = np.arange(n_steps + 1) * dt
+    pose = (state.x, state.y, state.theta)
+    out[..., 0, :3] = pose
     for k in range(1, n_steps + 1):
-        s = step(s, cmd, dt)
-        out[k] = (s.x, s.y, s.theta, k * dt)
+        pose = arc_step(*pose, v, omega, dt)
+        out[..., k, 0], out[..., k, 1], out[..., k, 2] = pose
     return out
 
 
-def rollout_for_scoring(req: LocalPlanRequest, v: float, omega: float,
-                        n_steps: int, dt: float) -> np.ndarray:
-    """Candidate rollout for scoring: simulate the constant command, then cut
-    the tail at the closest approach to the local goal.  A rollout that would
-    drive past the goal is scored where it meets it instead of where it ends
-    up afterwards, which keeps the heading term meaningful near the goal."""
+def rollout_for_scoring(req: LocalPlanRequest, v, omega, n_steps: int, dt: float):
+    """Rollouts for scoring, each frozen at its closest approach to the local
+    goal (later poses repeat it), so that a rollout driving past the goal is
+    scored where it meets it.  Returns (trajectories, end): rollout b is
+    `trajectories[b, :end[b] + 1]`."""
     traj = forward_simulate(req.robot, v, omega, n_steps, dt)
-    gx, gy = req.goal[0], req.goal[1]
-    d = np.hypot(traj[:, 0] - gx, traj[:, 1] - gy)
-    k = int(np.argmin(d))
-    if k < len(traj) - 1 and d[k] < d[-1]:
-        traj = traj[:max(k, 1) + 1]
-    return traj
+    d = np.hypot(traj[..., 0] - req.goal[0], traj[..., 1] - req.goal[1])
+    k = np.argmin(d, axis=-1)
+    closer = np.take_along_axis(d, k[..., None], axis=-1)[..., 0] < d[..., -1]
+    end = np.where((k < n_steps) & closer, np.maximum(k, 1), n_steps)
+    held = np.minimum(np.arange(n_steps + 1), end[..., None])
+    return np.take_along_axis(traj, held[..., None], axis=-2), end
 
 
-def trajectory_min_clearance(trajectory, req: LocalPlanRequest) -> float:
-    """Smallest interpolated clearance along the trajectory (boundary-clamped
-    sampling, so poses nudging outside the local map stay defined)."""
-    traj = np.asarray(trajectory, dtype=np.float64).reshape(-1, 4)
-    vals = sample_field(req.local_field, traj[:, 0], traj[:, 1], clamp=True)
-    return float(np.min(vals))
+def _trajectories(trajectory) -> np.ndarray:
+    traj = np.asarray(trajectory, dtype=np.float64)
+    return traj.reshape(traj.shape[:-2] + (-1, 4))
 
 
-def score_components(trajectory, req: LocalPlanRequest) -> tuple[float, float, float]:
-    """(heading, clearance, velocity) scores, each normalized to [0, 1].
+def _per_trajectory(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def trajectory_min_clearance(trajectory, req: LocalPlanRequest):
+    """Smallest interpolated clearance along each (..., n, 4) trajectory
+    (boundary-clamped, so poses nudging outside the local map stay defined)."""
+    traj = _trajectories(trajectory)
+    vals = sample_field(req.local_field, traj[..., 0], traj[..., 1], clamp=True)
+    return _per_trajectory(np.min(vals, axis=-1))
+
+
+# Applied per element: np.arctan2 and np.hypot round differently from math
+# on a fraction of inputs, and the scores must match the scalar formulas.
+_atan2 = np.vectorize(math.atan2, otypes=[np.float64])
+_hypot = np.vectorize(math.hypot, otypes=[np.float64])
+
+
+def _bearing(req: LocalPlanRequest, x, y):
+    """Bearing from (x, y) to the lookahead, or its heading when on it."""
+    tx, ty, tth = reference_target(req)
+    dx, dy = tx - x, ty - y
+    return np.where(_hypot(dx, dy) < 1e-9, tth, _atan2(dy, dx))
+
+
+def score_components(trajectory, req: LocalPlanRequest):
+    """(heading, clearance, velocity) scores of each (..., n, 4) trajectory,
+    each normalized to [0, 1].
 
     heading: alignment of the final pose with the bearing to the reference
     lookahead; clearance: min clearance capped at d_safe; velocity: the
     rollout speed recovered from the first chord and heading change,
     normalized by v_max.
     """
-    traj = np.asarray(trajectory, dtype=np.float64).reshape(-1, 4)
-    if traj.shape[0] == 0:
+    traj = _trajectories(trajectory)
+    if traj.shape[-2] == 0:
         raise PlanInputError("empty trajectory")
-    tx, ty, tth = reference_target(req)
-    fx, fy, fth = traj[-1, 0], traj[-1, 1], traj[-1, 2]
-    dx, dy = tx - fx, ty - fy
-    if math.hypot(dx, dy) < 1e-9:
-        bearing = tth
-    else:
-        bearing = math.atan2(dy, dx)
-    heading = 1.0 - abs(wrap_angle(bearing - fth)) / math.pi
+    final = traj[..., -1, :]
+    bearing = _bearing(req, final[..., 0], final[..., 1])
+    heading = 1.0 - np.abs(wrap_angle(bearing - final[..., 2])) / math.pi
+    clearance = np.minimum(trajectory_min_clearance(traj, req), req.d_safe) / req.d_safe
 
-    min_d = trajectory_min_clearance(traj, req)
-    clearance = min(min_d, req.d_safe) / req.d_safe
+    velocity = np.zeros(traj.shape[:-2])
+    if traj.shape[-2] >= 2:
+        first = traj[..., 1, :] - traj[..., 0, :]
+        chord, dt = _hypot(first[..., 0], first[..., 1]), first[..., 3]
+        dphi = np.abs(wrap_angle(first[..., 2]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # invert the constant-twist chord: c = v*dt*sin(phi/2)/(phi/2)
+            arc = (chord / dt) * (dphi / 2.0) / np.sin(dphi / 2.0)
+            ratio = np.where(dphi < 1e-9, chord / dt, arc) / req.limits.v_max
+        velocity = np.where(dt > 0, np.where(ratio < 1.0, ratio, 1.0), 0.0)
 
-    velocity = 0.0
-    if traj.shape[0] >= 2:
-        chord = math.hypot(traj[1, 0] - traj[0, 0], traj[1, 1] - traj[0, 1])
-        dt = traj[1, 3] - traj[0, 3]
-        if dt > 0:
-            dphi = abs(wrap_angle(traj[1, 2] - traj[0, 2]))
-            if dphi < 1e-9:
-                speed = chord / dt
-            else:
-                # invert the constant-twist chord: c = v*dt*sin(phi/2)/(phi/2)
-                speed = (chord / dt) * (dphi / 2.0) / math.sin(dphi / 2.0)
-            velocity = min(1.0, speed / req.limits.v_max)
-
-    return (min(max(heading, 0.0), 1.0), min(max(clearance, 0.0), 1.0), velocity)
+    return tuple(_per_trajectory(s) for s in
+                 (np.clip(heading, 0.0, 1.0), np.clip(clearance, 0.0, 1.0), velocity))
 
 
-def _rotation_direction(req: LocalPlanRequest) -> float:
-    tx, ty, tth = reference_target(req)
+def _hold_output(req: LocalPlanRequest, omega: float, t_start: float,
+                 iterations: int, status: PlannerStatus) -> PlannerOutput:
+    """Turn in place at `omega`, clamped into the dynamic window."""
     r = req.robot
-    dx, dy = tx - r.x, ty - r.y
-    if math.hypot(dx, dy) < 1e-9:
-        err = wrap_angle(tth - r.theta)
-    else:
-        err = wrap_angle(math.atan2(dy, dx) - r.theta)
-    return 1.0 if err >= 0 else -1.0
+    cmd = clamp_command(VelocityCommand(0.0, omega), VelocityCommand(r.v, r.omega),
+                        req.limits, req.dt_control)
+    ms = (time.perf_counter() - t_start) * 1e3
+    return PlannerOutput(cmd, ((r.x, r.y, r.theta, 0.0),), ms, iterations, status)
 
 
 def recovery_output(req: LocalPlanRequest, t_start: float, iterations: int) -> PlannerOutput:
     """Rotate in place toward the reference heading at omega_max / 2; stop
     entirely if the current pose is already in collision."""
     r = req.robot
-    here = sample_field(req.local_field, r.x, r.y, clamp=True)
-    if float(here) < req.limits.radius:
-        desired = VelocityCommand(0.0, 0.0)
+    if float(sample_field(req.local_field, r.x, r.y, clamp=True)) < req.limits.radius:
+        omega = 0.0
     else:
-        desired = VelocityCommand(0.0, _rotation_direction(req) * req.limits.omega_max / 2.0)
-    cmd = clamp_command(desired, VelocityCommand(r.v, r.omega), req.limits, req.dt_control)
-    traj = ((r.x, r.y, r.theta, 0.0),)
-    ms = (time.perf_counter() - t_start) * 1e3
-    return PlannerOutput(cmd, traj, ms, iterations, PlannerStatus.INFEASIBLE)
+        err = wrap_angle(_bearing(req, r.x, r.y) - r.theta)
+        omega = (1.0 if err >= 0 else -1.0) * req.limits.omega_max / 2.0
+    return _hold_output(req, omega, t_start, iterations, PlannerStatus.INFEASIBLE)
 
 
 def terminal_output(req: LocalPlanRequest, t_start: float) -> PlannerOutput | None:
@@ -190,11 +200,8 @@ def terminal_output(req: LocalPlanRequest, t_start: float) -> PlannerOutput | No
         return None
     yaw_err = wrap_angle(gth - r.theta)
     if abs(yaw_err) <= 0.05:
-        desired = VelocityCommand(0.0, 0.0)
+        omega = 0.0
     else:
-        mag = min(req.limits.omega_max / 2.0, abs(yaw_err) / req.dt_control)
-        desired = VelocityCommand(0.0, math.copysign(mag, yaw_err))
-    cmd = clamp_command(desired, VelocityCommand(r.v, r.omega), req.limits, req.dt_control)
-    traj = ((r.x, r.y, r.theta, 0.0),)
-    ms = (time.perf_counter() - t_start) * 1e3
-    return PlannerOutput(cmd, traj, ms, 1, PlannerStatus.OK)
+        omega = math.copysign(min(req.limits.omega_max / 2.0, abs(yaw_err) / req.dt_control),
+                              yaw_err)
+    return _hold_output(req, omega, t_start, 1, PlannerStatus.OK)

@@ -62,30 +62,24 @@ def dwa_plan(req: LocalPlanRequest, cfg: DwaConfig = DwaConfig()) -> PlannerOutp
         return term
 
     v_lo, v_hi, w_lo, w_hi = dynamic_window(req)
-    vs = np.linspace(v_lo, v_hi, cfg.n_v)
-    ws = np.linspace(w_lo, w_hi, cfg.n_omega)
+    # v-major lattice: argmax's first-index tie-break keeps the winner that a
+    # strict `>` scan over v, then omega, would keep.
+    vs, ws = (a.ravel() for a in np.meshgrid(np.linspace(v_lo, v_hi, cfg.n_v),
+                                              np.linspace(w_lo, w_hi, cfg.n_omega),
+                                              indexing="ij"))
     n_steps = int(round(cfg.sim_horizon / cfg.sim_dt))
-    radius = req.limits.radius
+    trajs, end = rollout_for_scoring(req, vs, ws, n_steps, cfg.sim_dt)
+    # NaN clearance passes the filter; a NaN score then never wins.
+    ok = ~(trajectory_min_clearance(trajs, req) < req.limits.radius)
+    if ok.any():
+        h, c, vel = score_components(trajs, req)
+        score = cfg.w_heading * h + cfg.w_clearance * c + cfg.w_velocity * vel
+        ok &= score > -np.inf
+    if not ok.any():
+        return recovery_output(req, t0, vs.size)
 
-    best_score = -np.inf
-    best = None
-    simulated = 0
-    for v in vs:
-        for w in ws:
-            simulated += 1
-            traj = rollout_for_scoring(req, float(v), float(w), n_steps, cfg.sim_dt)
-            if trajectory_min_clearance(traj, req) < radius:
-                continue
-            h, c, vel = score_components(traj, req)
-            score = cfg.w_heading * h + cfg.w_clearance * c + cfg.w_velocity * vel
-            if score > best_score:
-                best_score = score
-                best = (float(v), float(w), traj)
-
-    if best is None:
-        return recovery_output(req, t0, simulated)
-
-    v, w, traj = best
+    b = int(np.argmax(np.where(ok, score, -np.inf)))
     ms = (time.perf_counter() - t0) * 1e3
-    return PlannerOutput(VelocityCommand(v, w), tuple(map(tuple, traj)),
-                         ms, simulated, PlannerStatus.OK)
+    return PlannerOutput(VelocityCommand(float(vs[b]), float(ws[b])),
+                         tuple(map(tuple, trajs[b, :end[b] + 1])),
+                         ms, vs.size, PlannerStatus.OK)

@@ -109,7 +109,7 @@ class BandProblem:
         cx = np.diff(xs)
         cy = np.diff(ys)
         length = np.hypot(cx, cy)
-        dth = np.array([wrap_angle(b - a) for a, b in zip(ths[:-1], ths[1:])])
+        dth = wrap_angle(np.diff(ths))
         omega = dth / dts
         cos_s = np.cos(ths[:-1]) + np.cos(ths[1:])
         sin_s = np.sin(ths[:-1]) + np.sin(ths[1:])

@@ -5,19 +5,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gridmap import DistanceField, distance_at
 
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]."""
-    r = theta - TWO_PI * round(theta / TWO_PI)
-    if r <= -math.pi:
-        r += TWO_PI
-    elif r > math.pi:
-        r -= TWO_PI
-    return r
+def wrap_angle(theta):
+    """Wrap to (-pi, pi], elementwise; a float gives a float.  The `+ 0.0`
+    keeps wrap_angle(-0.0) == -0.0, as the integer from `round` did."""
+    r = theta - TWO_PI * (np.round(theta / TWO_PI) + 0.0)
+    r = np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
+    return float(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)
@@ -80,23 +80,24 @@ def clamp_command(desired: VelocityCommand, prev: VelocityCommand,
     return VelocityCommand(v, w)
 
 
-def step(state: RobotState, cmd: VelocityCommand, dt: float) -> RobotState:
-    """Advance the unicycle model one step with exact constant-twist arcs.
-
-    Uses the half-angle form of the arc displacement,
-    v*dt*sinc(w*dt/2)*[cos|sin](theta + w*dt/2), which equals
-    (v/w)*(sin(theta+w*dt) - sin(theta)) without the catastrophic
-    cancellation that form suffers at small |w|.
-    """
+def arc_step(x, y, theta, v, w, dt: float):
+    """Advance poses one exact constant-twist arc step, elementwise over floats
+    or equal-shape arrays.  The half-angle form v*dt*sinc(w*dt/2)*[cos|sin](
+    theta + w*dt/2) equals (v/w)*(sin(theta+w*dt) - sin(theta)) without the
+    catastrophic cancellation that form suffers at small |w|."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    v, w = cmd.v, cmd.omega
-    th = state.theta
     half = 0.5 * w * dt
-    sinc = 1.0 if abs(half) < 1e-12 else math.sin(half) / half
-    x = state.x + v * dt * sinc * math.cos(th + half)
-    y = state.y + v * dt * sinc * math.sin(th + half)
-    return RobotState(x, y, wrap_angle(th + w * dt), v, w)
+    small = np.abs(half) < 1e-12
+    sinc = np.where(small, 1.0, np.sin(half) / np.where(small, 1.0, half))
+    return (x + v * dt * sinc * np.cos(theta + half),
+            y + v * dt * sinc * np.sin(theta + half), wrap_angle(theta + w * dt))
+
+
+def step(state: RobotState, cmd: VelocityCommand, dt: float) -> RobotState:
+    """Advance the unicycle model one `arc_step`."""
+    x, y, theta = arc_step(state.x, state.y, state.theta, cmd.v, cmd.omega, dt)
+    return RobotState(float(x), float(y), theta, cmd.v, cmd.omega)
 
 
 def collision_check(state: RobotState, field: DistanceField, radius: float) -> bool:

@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 
 import navbench.local_planners as local_planners
-from navbench import cli, harness
-from navbench.metrics import Outcome, write_log_csv
+from navbench import cli, harness, report
+from navbench.metrics import Outcome, compute_report, read_log_csv, write_log_csv
 from navbench.suitegen import propose_pairs
 from navbench.world import Scenario, save_scenario
 from navbench.worldgen import WorldParams, generate_world
@@ -87,3 +87,21 @@ def test_wrapped_call_sites_fire_once_per_tick(suite, monkeypatch):
     ticks = len(result.log)
     assert ticks == TICKS
     assert counts == {"raycast": ticks, "plan": ticks, "LogRecord": ticks, "dwa_plan": ticks}
+
+
+def test_report_uses_the_trial_d_safe(suite, tmp_path):
+    """`bench report` recomputes p_o with the d_safe the trial ran with.  The
+    robot keeps 0.6-1.4 m of clearance here, so d_safe=1.0 makes p_o differ
+    from the 0.34 default."""
+    scn, _ = suite
+    cfg = harness.TrialConfig(compute_cost_mode="iterations", d_safe=1.0,
+                              timeout=CFG.timeout)
+    result = harness.run_trial(scn, "dwa", 0, cfg)
+    write_log_csv(result.log, tmp_path / "trial.csv", result.metadata)
+    groups, _ = report.collect_rows(str(tmp_path))
+    recomputed = groups["ungrouped"][(scn.name, 0)]["dwa"]
+    log, _ = read_log_csv(tmp_path / "trial.csv")
+    # the CSV keeps 10 significant digits, hence approx
+    assert recomputed.exposure_percent == pytest.approx(result.report.exposure_percent,
+                                                        rel=1e-12)
+    assert recomputed.exposure_percent > compute_report(log).exposure_percent

@@ -32,3 +32,22 @@ def test_bad_value_or_key_names_path_and_line(text, line, tmp_path):
         load_planner_config(path, "teb")
     assert err.value.line == line
     assert str(err.value).startswith(f"{path}:{line}:")
+
+
+def test_repeated_key_names_the_repeat(tmp_path):
+    path = tmp_path / "teb.cfg"
+    path.write_text("n_poses 12\n# again\nn_poses 40\n")
+    with pytest.raises(ParseError) as err:
+        load_planner_config(path, "teb")
+    assert err.value.line == 3
+    assert str(err.value).startswith(f"{path}:3:")
+
+
+def test_broken_invariant_names_the_file(tmp_path):
+    path = tmp_path / "dwa.cfg"
+    path.write_text("n_v 1\n")
+    with pytest.raises(ParseError) as err:
+        load_planner_config(path, "dwa")
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}:")
+    assert "at least 3 samples" in str(err.value)
