@@ -1,18 +1,20 @@
 """Grid-level global planner feeding both local planners.
 
 Cost-to-go is computed by Dijkstra over the 8-connected free space with an
-obstacle-proximity surcharge, then the path is extracted by steepest descent
-with deterministic tie-breaking and smoothed with clearance-checked
-shortcuts.
+obstacle-proximity surcharge, on an edge layout cached per grid shape.  The
+path is extracted by steepest descent with deterministic tie-breaking and
+smoothed by greedy shortcuts, all candidates of a kept vertex clearance-checked
+in one batched field sample.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import NoPathError, PlanInputError
@@ -24,6 +26,8 @@ from .gridmap import (CellState, DistanceField, OccupancyGrid, UnknownAs,
 # prefers explored space but can still route through unexplored regions.
 W_OBS = 5.0
 UNKNOWN_STEP_PENALTY = 2.0  # multiples of the resolution, per unknown cell
+SHORTCUT_LOOKAHEAD = 40  # vertices ahead of a kept vertex tried as shortcuts
+_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -44,11 +48,26 @@ def _path_from_points(points) -> GlobalPath:
     for p in points:
         if not deduped or math.hypot(p[0] - deduped[-1][0], p[1] - deduped[-1][1]) > 1e-12:
             deduped.append((float(p[0]), float(p[1])))
-    pts = np.asarray(deduped)
-    length = 0.0
-    if len(pts) >= 2:
-        length = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    length = float(np.linalg.norm(np.diff(np.asarray(deduped), axis=0), axis=1).sum())
     return GlobalPath(tuple(deduped), length)
+
+
+@functools.lru_cache(maxsize=8)
+def _edge_layout(w: int, h: int):
+    """(dst, src, diagonal) of every 8-neighbour edge of a w x h grid, as
+    int32 flat cell indices sorted by dst, then src: CSR row order.  Cached
+    and shared between calls, so read-only."""
+    idx = np.arange(w * h, dtype=np.int32).reshape(h, w)
+    dst, src, diagonal = [], [], []
+    for dx, dy in _NEIGHBORS:
+        src.append(idx[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)].ravel())
+        dst.append(idx[max(0, dy):h + min(0, dy), max(0, dx):w + min(0, dx)].ravel())
+        diagonal.append(np.full(src[-1].size, bool(dx and dy)))
+    order = np.lexsort((np.concatenate(src), np.concatenate(dst)))
+    layout = tuple(np.concatenate(a)[order] for a in (dst, src, diagonal))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def cost_to_go(grid: OccupancyGrid, goal, radius: float,
@@ -61,52 +80,51 @@ def cost_to_go(grid: OccupancyGrid, goal, radius: float,
     w, h = grid.width, grid.height
     n = w * h
 
-    traversable = (grid.cells != CellState.OCCUPIED) & (field.values >= radius)
-    trav_flat = traversable.ravel()
+    trav_flat = ((grid.cells != CellState.OCCUPIED) & (field.values >= radius)).ravel()
 
     gi = grid.cell_index(goal[0], goal[1])
     goal_flat = gi[1] * w + gi[0]
     if not trav_flat[goal_flat]:
         raise PlanInputError("goal cell blocked")
 
-    d_infl = 2.0 * radius
-    prox = W_OBS * np.maximum(0.0, d_infl - field.values)
+    prox = W_OBS * np.maximum(0.0, 2.0 * radius - field.values)
     unknown_extra = np.where(grid.cells == CellState.UNKNOWN,
                              UNKNOWN_STEP_PENALTY * res, 0.0)
     node_cost = (prox + unknown_extra).ravel()
 
-    idx = np.arange(n).reshape(h, w)
-    rows = []
-    cols = []
-    data = []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-        step_len = res * math.sqrt(2.0) if dx and dy else res
-        src = idx[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)].ravel()
-        dst = idx[max(0, dy):h + min(0, dy), max(0, dx):w + min(0, dx)].ravel()
-        ok = trav_flat[src] & trav_flat[dst]
-        src, dst = src[ok], dst[ok]
-        # Transposed layout so dijkstra-from-goal follows reversed edges.
-        rows.append(dst)
-        cols.append(src)
-        data.append(step_len + node_cost[dst])
-    graph = coo_matrix((np.concatenate(data),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n)).tocsr()
+    # Transposed layout (row = dst) so dijkstra-from-goal follows reversed edges.
+    dst, src, diagonal = _edge_layout(w, h)
+    ok = trav_flat[src] & trav_flat[dst]
+    dst, src = dst[ok], src[ok]
+    step_len = np.where(diagonal[ok], res * math.sqrt(2.0), res)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(dst, minlength=n))
+    graph = csr_matrix((step_len + node_cost[dst], src, indptr), shape=(n, n))
     dist = _csgraph_dijkstra(graph, directed=True, indices=goal_flat)
     return dist.reshape(h, w)
 
 
-_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _segment_clear(field: DistanceField, a, b, radius: float) -> bool:
-    length = math.hypot(b[0] - a[0], b[1] - a[1])
-    n = max(2, int(math.ceil(length / (0.5 * field.resolution))) + 1)
-    ts = np.linspace(0.0, 1.0, n)
-    xs = a[0] + ts * (b[0] - a[0])
-    ys = a[1] + ts * (b[1] - a[1])
-    vals = sample_field(field, xs, ys, clamp=True)
-    return bool((vals >= radius).all())
+def _shortcut(field: DistanceField, pts, radius: float) -> list:
+    """Greedy shortcut pass over the descent vertices `pts`.  From kept
+    vertex i, the segments to k = i+2 .. i+SHORTCUT_LOOKAHEAD are sampled
+    every half cell (as np.linspace would) in one sample_field call, and the
+    pass keeps the vertex before the first blocked one (the last if none)."""
+    half_cell = 0.5 * field.resolution
+    kept, i = [pts[0]], 0
+    while i < len(pts) - 2:
+        ends = pts[i + 2:i + SHORTCUT_LOOKAHEAD + 1]
+        dx, dy = (np.asarray(ends) - pts[i]).T
+        n = np.array([max(2, int(math.ceil(math.hypot(ex, ey) / half_cell)) + 1)
+                      for ex, ey in zip(dx, dy)])
+        first = np.cumsum(n) - n
+        seg = np.repeat(np.arange(len(ends)), n)
+        t = (np.arange(seg.size) - first[seg]) * (1.0 / (n - 1))[seg]
+        t[first + n - 1] = 1.0
+        vals = sample_field(field, pts[i][0] + t * dx[seg], pts[i][1] + t * dy[seg])
+        clear = np.logical_and.reduceat(vals >= radius, first)
+        i += 1 + (len(ends) if clear.all() else int(np.argmin(clear)))
+        kept.append(pts[i])
+    return kept + pts[i + 1:]
 
 
 def plan_global(grid: OccupancyGrid, start, goal, radius: float,
@@ -132,48 +150,25 @@ def plan_global(grid: OccupancyGrid, start, goal, radius: float,
     if not math.isfinite(ctg[si[1], si[0]]):
         raise NoPathError("goal unreachable from start")
 
+    # Steepest descent to the downhill neighbour of least (cost + step, flat index).
     res = grid.resolution
+    steps = [(dx, dy, res * math.sqrt(2.0) if dx and dy else res) for dx, dy in _NEIGHBORS]
     cells = [si]
-    cur = si
-    guard = w * h
-    while cur != gi and guard > 0:
-        guard -= 1
-        best = None
-        cur_cost = ctg[cur[1], cur[0]]
-        for dx, dy in _NEIGHBORS:
-            nx_, ny_ = cur[0] + dx, cur[1] + dy
-            if not (0 <= nx_ < w and 0 <= ny_ < h):
-                continue
-            c = ctg[ny_, nx_]
-            if not math.isfinite(c) or c >= cur_cost:
-                continue
-            step_len = res * math.sqrt(2.0) if dx and dy else res
-            total = c + step_len
-            flat = ny_ * w + nx_
-            if best is None or total < best[0] or (total == best[0] and flat < best[1]):
-                best = (total, flat, (nx_, ny_))
-        if best is None:
+    for _ in range(w * h):
+        x, y = cells[-1]
+        if (x, y) == gi:
+            break
+        moves = [(ctg[y + dy, x + dx] + step, (y + dy) * w + x + dx)
+                 for dx, dy, step in steps
+                 if 0 <= x + dx < w and 0 <= y + dy < h and ctg[y + dy, x + dx] < ctg[y, x]]
+        if not moves:
             raise NoPathError("descent stalled before reaching the goal")
-        cur = best[2]
-        cells.append(cur)
+        flat = min(moves)[1]
+        cells.append((flat % w, flat // w))
 
     # interior cell centers only: the exact start/goal replace their own cells
-    pts = [tuple(start)]
-    pts += [grid.cell_center(ix, iy) for ix, iy in cells[1:-1]]
-    pts.append(tuple(goal))
-
-    # Greedy shortcut pass, capped lookahead, clearance-checked.
-    smoothed = [pts[0]]
-    i = 0
-    lookahead = 40
-    while i < len(pts) - 1:
-        j = i + 1
-        while j + 1 < len(pts) and j - i < lookahead \
-                and _segment_clear(field, pts[i], pts[j + 1], radius):
-            j += 1
-        smoothed.append(pts[j])
-        i = j
-    return _path_from_points(smoothed)
+    pts = [tuple(start), *(grid.cell_center(ix, iy) for ix, iy in cells[1:-1]), tuple(goal)]
+    return _path_from_points(_shortcut(field, pts, radius))
 
 
 def extract_local_reference(path: GlobalPath, pose, horizon: float) -> GlobalPath:

@@ -228,14 +228,13 @@ def _catmull_rom_dweights(s: np.ndarray):
     )
 
 
-def sample_field(field: DistanceField, xs, ys, *, clamp=False,
-                 with_gradient=False, floor=True):
+def sample_field(field: DistanceField, xs, ys, *, with_gradient=False, floor=True):
     """Catmull-Rom interpolation of field values at world points (vectorized).
 
-    The 4x4 stencil is edge-clamped, which keeps the interpolant continuous
-    across the whole grid; values are clamped below at zero unless
-    ``floor=False`` (signed fields).  With ``clamp=True`` out-of-grid queries
-    are snapped to the boundary instead of being the caller's responsibility.
+    Out-of-grid queries are snapped to the boundary.  The 4x4 stencil is
+    edge-clamped, which keeps the interpolant continuous across the whole
+    grid; values are clamped below at zero unless ``floor=False`` (signed
+    fields).
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -307,7 +306,7 @@ def distance_at(field: DistanceField, x: float, y: float) -> float:
 
 def distance_at_clamped(field: DistanceField, x: float, y: float) -> float:
     """Like distance_at but snaps out-of-grid queries to the boundary."""
-    return float(sample_field(field, x, y, clamp=True))
+    return float(sample_field(field, x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def trajectory_min_clearance(trajectory, req: LocalPlanRequest):
     """Smallest interpolated clearance along each (..., n, 4) trajectory
     (boundary-clamped, so poses nudging outside the local map stay defined)."""
     traj = _trajectories(trajectory)
-    vals = sample_field(req.local_field, traj[..., 0], traj[..., 1], clamp=True)
+    vals = sample_field(req.local_field, traj[..., 0], traj[..., 1])
     return _per_trajectory(np.min(vals, axis=-1))
 
 
@@ -137,7 +137,12 @@ def _bearing(req: LocalPlanRequest, x, y):
     return np.where(_hypot(dx, dy) < 1e-9, tth, _atan2(dy, dx))
 
 
-def score_components(trajectory, req: LocalPlanRequest):
+class Scores(tuple):
+    """score_components' (heading, clearance, velocity), carrying the raw
+    `min_clearance` so that a collision filter needs no second field sample."""
+
+
+def score_components(trajectory, req: LocalPlanRequest) -> Scores:
     """(heading, clearance, velocity) scores of each (..., n, 4) trajectory,
     each normalized to [0, 1].
 
@@ -149,10 +154,11 @@ def score_components(trajectory, req: LocalPlanRequest):
     traj = _trajectories(trajectory)
     if traj.shape[-2] == 0:
         raise PlanInputError("empty trajectory")
+    min_clearance = trajectory_min_clearance(traj, req)
     final = traj[..., -1, :]
     bearing = _bearing(req, final[..., 0], final[..., 1])
     heading = 1.0 - np.abs(wrap_angle(bearing - final[..., 2])) / math.pi
-    clearance = np.minimum(trajectory_min_clearance(traj, req), req.d_safe) / req.d_safe
+    clearance = np.minimum(min_clearance, req.d_safe) / req.d_safe
 
     velocity = np.zeros(traj.shape[:-2])
     if traj.shape[-2] >= 2:
@@ -165,8 +171,10 @@ def score_components(trajectory, req: LocalPlanRequest):
             ratio = np.where(dphi < 1e-9, chord / dt, arc) / req.limits.v_max
         velocity = np.where(dt > 0, np.where(ratio < 1.0, ratio, 1.0), 0.0)
 
-    return tuple(_per_trajectory(s) for s in
-                 (np.clip(heading, 0.0, 1.0), np.clip(clearance, 0.0, 1.0), velocity))
+    scores = Scores(_per_trajectory(s) for s in
+                    (np.clip(heading, 0.0, 1.0), np.clip(clearance, 0.0, 1.0), velocity))
+    scores.min_clearance = min_clearance
+    return scores
 
 
 def _hold_output(req: LocalPlanRequest, omega: float, t_start: float,
@@ -183,7 +191,7 @@ def recovery_output(req: LocalPlanRequest, t_start: float, iterations: int) -> P
     """Rotate in place toward the reference heading at omega_max / 2; stop
     entirely if the current pose is already in collision."""
     r = req.robot
-    if float(sample_field(req.local_field, r.x, r.y, clamp=True)) < req.limits.radius:
+    if float(sample_field(req.local_field, r.x, r.y)) < req.limits.radius:
         omega = 0.0
     else:
         err = wrap_angle(_bearing(req, r.x, r.y) - r.theta)

@@ -16,7 +16,7 @@ from ..errors import PlanInputError, ValidationError
 from ..robot import VelocityCommand
 from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
                      recovery_output, rollout_for_scoring, score_components,
-                     terminal_output, trajectory_min_clearance)
+                     terminal_output)
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,11 @@ def dwa_plan(req: LocalPlanRequest, cfg: DwaConfig = DwaConfig()) -> PlannerOutp
                                               indexing="ij"))
     n_steps = int(round(cfg.sim_horizon / cfg.sim_dt))
     trajs, end = rollout_for_scoring(req, vs, ws, n_steps, cfg.sim_dt)
+    scores = score_components(trajs, req)
+    h, c, vel = scores
+    score = cfg.w_heading * h + cfg.w_clearance * c + cfg.w_velocity * vel
     # NaN clearance passes the filter; a NaN score then never wins.
-    ok = ~(trajectory_min_clearance(trajs, req) < req.limits.radius)
-    if ok.any():
-        h, c, vel = score_components(trajs, req)
-        score = cfg.w_heading * h + cfg.w_clearance * c + cfg.w_velocity * vel
-        ok &= score > -np.inf
+    ok = ~(scores.min_clearance < req.limits.radius) & (score > -np.inf)
     if not ok.any():
         return recovery_output(req, t0, vs.size)
 

@@ -135,10 +135,9 @@ class BandProblem:
         xs, ys = g["xs"][1:], g["ys"][1:]
         sw = self.sq["obstacle"]
         if with_j:
-            d, gx, gy = sample_field(self.field, xs, ys, clamp=True,
-                                     with_gradient=True, floor=False)
+            d, gx, gy = sample_field(self.field, xs, ys, with_gradient=True, floor=False)
         else:
-            d = sample_field(self.field, xs, ys, clamp=True, floor=False)
+            d = sample_field(self.field, xs, ys, floor=False)
         h = self.cfg.d_min - d
         act = h > 0
         r = sw * np.where(act, h, 0.0)
@@ -437,7 +436,7 @@ def teb_plan(req: LocalPlanRequest, cfg: TebConfig = TebConfig()) -> PlannerOutp
         ts = np.linspace(0.0, 1.0, 6)
         sx = xs[0] + ts * (xs[1] - xs[0])
         sy = ys[0] + ts * (ys[1] - ys[0])
-        clear = sample_field(req.local_field, sx, sy, clamp=True)
+        clear = sample_field(req.local_field, sx, sy)
         valid = bool((clear >= req.limits.radius).all())
     if not valid:
         return recovery_output(req, t0, evals)

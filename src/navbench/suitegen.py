@@ -26,7 +26,7 @@ def _segment_clearance_ok(field, a, b, clearance) -> bool:
     ts = np.linspace(0.0, 1.0, n)
     xs = a[0] + ts * (b[0] - a[0])
     ys = a[1] + ts * (b[1] - a[1])
-    return bool((sample_field(field, xs, ys, clamp=True) >= clearance).all())
+    return bool((sample_field(field, xs, ys) >= clearance).all())
 
 
 def _path_crosses(path, rect) -> bool:

@@ -211,3 +211,25 @@ def test_one_rollout_call_and_two_field_samples_per_plan(rng, monkeypatch):
         assert calls["forward_simulate"] == 1
         assert calls["sample_field"] <= 2
     assert seen == {PlannerStatus.OK, PlannerStatus.INFEASIBLE}
+
+
+def test_dwa_plan_samples_the_field_once(rng, monkeypatch):
+    """score_components' clearance sample is also the collision filter's, so
+    a plan samples the field once; a plan that finds no admissible candidate
+    adds only recovery_output's check of the robot's pose."""
+    calls = []
+    sample_field = common.sample_field
+    monkeypatch.setattr(common, "sample_field",
+                        lambda *args, **kw: calls.append(1) or sample_field(*args, **kw))
+    statuses = []
+    for i in range(60):
+        req = random_request(rng)
+        cfg = CONFIGS[i % len(CONFIGS)]
+        assert common.terminal_output(req, 0.0) is None
+        calls.clear()
+        out = dwa_plan(req, cfg)
+        assert len(calls) == (1 if out.status is PlannerStatus.OK else 2), i
+        assert (out.cmd, out.trajectory, out.iterations, out.status) == reference_plan(req, cfg)
+        statuses.append(out.status)
+    assert statuses.count(PlannerStatus.INFEASIBLE) >= 3
+    assert statuses.count(PlannerStatus.OK) >= 40
