@@ -397,10 +397,14 @@ def raycast(world: OccupancyGrid, pose, spec: ScanSpec = ScanSpec()) -> LaserSca
 
 def integrate_scan(known: OccupancyGrid, pose, scan: LaserScan) -> OccupancyGrid:
     """Fuse a scan into the map: carve traversed cells Free, mark hit cells
-    Occupied.  Cells already Occupied in `known` are never demoted."""
+    Occupied.  Cells already Occupied in `known` are never demoted.  Carving
+    changes only Unknown cells, so only rays whose start-to-range cell box,
+    widened by one cell against rounding in the march, meets the Unknown
+    cells' box are marched (none if no cell is Unknown)."""
     x, y, theta = pose
     spec = scan.spec
     res = known.resolution
+    ox, oy = known.origin
     eps = res * 1e-6
     # Parenthesized as written: this rounds differently from raycast's angles.
     ang = theta + (spec.angle_min + spec.angle_increment * np.arange(len(scan.ranges)))
@@ -412,17 +416,25 @@ def integrate_scan(known: OccupancyGrid, pose, scan: LaserScan) -> OccupancyGrid
     r = np.asarray(scan.ranges)
     has_hit = r < spec.range_max - 1e-9
     t_lim = np.minimum(r, spec.range_max) - spec.range_min
-    _, carve = _march(known, px, py, dx, dy, t_lim - eps, None)
 
     new = np.array(known.cells)
-    new[carve & (new != CellState.OCCUPIED)] = CellState.FREE
+    unknown = new == CellState.UNKNOWN
+    if unknown.any():
+        cols, rows = (np.flatnonzero(unknown.any(axis=a)) for a in (0, 1))
+        ix = np.floor((px - ox) / res), np.floor((px + t_lim * dx - ox) / res)
+        iy = np.floor((py - oy) / res), np.floor((py + t_lim * dy - oy) / res)
+        reach = ((np.minimum(*ix) <= cols[-1] + 1) & (np.maximum(*ix) >= cols[0] - 1)
+                 & (np.minimum(*iy) <= rows[-1] + 1) & (np.maximum(*iy) >= rows[0] - 1))
+        _, carve = _march(known, px[reach], py[reach], dx[reach], dy[reach],
+                          t_lim[reach] - eps, None)
+        new[carve & unknown] = CellState.FREE
 
     if has_hit.any():
         # Endpoint cell: nudge past the entry crossing so floor() lands inside.
         ex = x + (r[has_hit] + eps) * dx[has_hit]
         ey = y + (r[has_hit] + eps) * dy[has_hit]
-        exi = np.floor((ex - known.origin[0]) / res).astype(np.int64)
-        eyi = np.floor((ey - known.origin[1]) / res).astype(np.int64)
+        exi = np.floor((ex - ox) / res).astype(np.int64)
+        eyi = np.floor((ey - oy) / res).astype(np.int64)
         ok = (exi >= 0) & (exi < known.width) & (eyi >= 0) & (eyi < known.height)
         new[eyi[ok], exi[ok]] = CellState.OCCUPIED
 

@@ -1,8 +1,9 @@
 """Closed-loop trial runner and suite orchestration.
 
 Each control tick: sense (raycast + scan fusion), stamp agents, refresh the
-distance fields, refresh the global reference, call the local planner, clamp
-the command, integrate physics in sub-steps, and append one log record.
+distance fields (the sensed field is rebuilt only when the tick map's cells
+changed), refresh the global reference, call the local planner, clamp the
+command, integrate physics in sub-steps, and append one log record.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+from numpy import array_equal
 
 from .errors import NoPathError, ParseError, PlanInputError, ValidationError
 # Call-site contract: run_trial calls these names as module globals (raycast
@@ -101,6 +104,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
     t = 0.0
     infeasible_streak = 0
     global_path = None
+    field_map = None  # the tick map sensed_field was built from
     outcome = None
     substeps = round(cfg.control_period / cfg.physics_dt)
     max_ticks = int(math.ceil(cfg.timeout / cfg.control_period)) + 2
@@ -129,7 +133,9 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         scan = raycast(truth, robot.pose(), scenario.scan_spec)
         sensed = integrate_scan(sensed, robot.pose(), scan)
         tick_map = stamp_agents(sensed, agents)
-        sensed_field = distance_transform(tick_map, UnknownAs.FREE)
+        if field_map is None or not array_equal(tick_map.cells, field_map.cells):
+            sensed_field = distance_transform(tick_map, UnknownAs.FREE)
+            field_map = tick_map
         if agents:
             truth_field = distance_transform(stamp_agents(truth, agents), UnknownAs.FREE)
         else:
@@ -143,13 +149,10 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
             except (NoPathError, PlanInputError):
                 pass  # keep the previous reference, if any
 
-        infeasible = False
         if global_path is None:
             bearing = math.atan2(goal[1] - robot.y, goal[0] - robot.x)
             err = wrap_angle(bearing - robot.theta)
             desired = VelocityCommand(0.0, math.copysign(limits.omega_max / 2.0, err))
-            cmd = clamp_command(desired, VelocityCommand(robot.v, robot.omega),
-                                limits, cfg.control_period)
             c_val = 0.0
             infeasible = True
         else:
@@ -161,21 +164,21 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
             path_end = global_path.points[-1]
             if math.hypot(ref_end[0] - path_end[0], ref_end[1] - path_end[1]) <= 1e-9:
                 req_goal = tuple(goal)
+            elif len(ref.points) >= 2:
+                a = ref.points[-2]
+                req_goal = (ref_end[0], ref_end[1],
+                            math.atan2(ref_end[1] - a[1], ref_end[0] - a[0]))
             else:
-                if len(ref.points) >= 2:
-                    a = ref.points[-2]
-                    heading = math.atan2(ref_end[1] - a[1], ref_end[0] - a[0])
-                else:
-                    heading = robot.theta
-                req_goal = (ref_end[0], ref_end[1], heading)
+                req_goal = (ref_end[0], ref_end[1], robot.theta)
             req = LocalPlanRequest(local_map, local_field, robot, ref, req_goal,
                                    limits, cfg.control_period,
                                    d_safe=cfg.d_safe, goal_tol=cfg.goal_pos_tol)
             out = plan(planner_name, req, planner_cfg)
+            desired = out.cmd
             c_val = out.compute_cost(cfg.compute_cost_mode)
-            cmd = clamp_command(out.cmd, VelocityCommand(robot.v, robot.omega),
-                                limits, cfg.control_period)
             infeasible = out.status is PlannerStatus.INFEASIBLE
+        cmd = clamp_command(desired, VelocityCommand(robot.v, robot.omega),
+                            limits, cfg.control_period)
 
         for _ in range(substeps):
             robot = step(robot, cmd, cfg.physics_dt)
@@ -282,11 +285,8 @@ def run_suite(manifest_path, planners, cfg: TrialConfig, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     scenarios = [(group, load_scenario(path)) for group, path in entries]
 
-    jobs_spec = []
-    for group, scn in scenarios:
-        for pair in range(len(scn.start_goal_pairs)):
-            for planner in planners:
-                jobs_spec.append((group, scn, planner, pair))
+    jobs_spec = [(group, scn, planner, pair) for group, scn in scenarios
+                 for pair in range(len(scn.start_goal_pairs)) for planner in planners]
 
     results = []
     crashed = []

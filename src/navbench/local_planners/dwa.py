@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PlanInputError, ValidationError
-from ..robot import VelocityCommand
+from ..robot import VelocityCommand, velocity_window
 from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
                      recovery_output, rollout_for_scoring, score_components,
                      terminal_output)
@@ -40,17 +40,8 @@ class DwaConfig:
 
 
 def dynamic_window(req: LocalPlanRequest) -> tuple[float, float, float, float]:
-    """Velocity box intersected with what acceleration allows in one control
-    period: (v_lo, v_hi, omega_lo, omega_hi)."""
-    lim = req.limits
-    r = req.robot
-    dt = req.dt_control
-    return (
-        max(lim.v_min, r.v + lim.a_min * dt),
-        min(lim.v_max, r.v + lim.a_max * dt),
-        max(lim.omega_min, r.omega + lim.alpha_min * dt),
-        min(lim.omega_max, r.omega + lim.alpha_max * dt),
-    )
+    """The `velocity_window` reachable in one control period."""
+    return velocity_window(req.robot.v, req.robot.omega, req.limits, req.dt_control)
 
 
 def dwa_plan(req: LocalPlanRequest, cfg: DwaConfig = DwaConfig()) -> PlannerOutput:

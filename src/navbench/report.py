@@ -10,42 +10,56 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 
+from .errors import ParseError
 from .metrics import (MetricsConfig, MetricsReport, Outcome, aggregate_reports,
                       compute_report, read_log_csv)
+
+C_LABELS = {"wallclock": "C [ms]", "iterations": "C [iter]"}  # by the CSV's cost_mode
 
 
 def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
 
+class GroupRows(defaultdict):
+    """{(scenario, pair): {planner: report}} of one group, and its cost mode."""
+    cost_mode = None
+
+
 def collect_rows(in_dir):
     """Scan trial CSVs and recompute their reports.
 
-    Returns {group: {(scenario, pair): {planner: (report, outcome)}}} plus the
-    sorted planner list actually present.
+    Returns {group: GroupRows} plus the sorted planner list actually present.
+    A group whose trials ran in different cost modes raises ParseError.
     """
-    groups = defaultdict(lambda: defaultdict(dict))
+    groups = defaultdict(lambda: GroupRows(dict))
     planners = set()
     for name in sorted(os.listdir(in_dir)):
         if not name.endswith(".csv") or name.startswith("table_"):
             continue
         path = os.path.join(in_dir, name)
         log, meta = read_log_csv(path)
-        group = meta.get("group", "ungrouped")
+        rows = groups[meta.get("group", "ungrouped")]
         scenario = meta.get("scenario", name)
         pair = int(meta.get("pair", 0))
         planner = meta.get("planner", "planner")
         d_safe = float(meta.get("d_safe", 0.34))
+        mode = meta.get("cost_mode", "wallclock")
+        if mode not in C_LABELS or rows.cost_mode not in (None, mode):
+            raise ParseError(f"cost_mode {mode!r} is not the group's "
+                             f"{rows.cost_mode or ' or '.join(C_LABELS)}", path=path)
+        rows.cost_mode = mode
         report = compute_report(log, MetricsConfig(d_safe=d_safe))
-        groups[group][(scenario, pair)][planner] = report
+        rows[(scenario, pair)][planner] = report
         planners.add(planner)
     return groups, sorted(planners)
 
 
-def render_group_table(rows: dict, planners: list) -> tuple[str, str]:
-    """(markdown, csv) table for one group's rows."""
+def render_group_table(rows: dict, planners: list, cost_mode: str) -> tuple[str, str]:
+    """(markdown, csv) table for one group's rows; `cost_mode` labels C."""
     header = ["Scenario", "Pair"]
     for metric in MetricsReport.COLUMNS:
+        metric = C_LABELS[cost_mode] if metric == "C [ms]" else metric
         for p in planners:
             header.append(f"{metric} {p.upper()}")
 
@@ -85,7 +99,7 @@ def write_group_tables(in_dir, out_dir=None) -> list:
     groups, planners = collect_rows(in_dir)
     paths = []
     for group, rows in sorted(groups.items()):
-        md, csv = render_group_table(rows, planners)
+        md, csv = render_group_table(rows, planners, rows.cost_mode)
         md_path = os.path.join(out_dir, f"table_{group}.md")
         csv_path = os.path.join(out_dir, f"table_{group}.csv")
         with open(md_path, "w", encoding="utf-8") as f:

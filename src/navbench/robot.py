@@ -65,16 +65,21 @@ class RobotState:
         return (self.x, self.y, self.theta)
 
 
+def velocity_window(v: float, omega: float, limits: KinematicLimits, dt: float):
+    """Velocity box intersected with what the acceleration limits reach from
+    (v, omega) within `dt`: (v_lo, v_hi, omega_lo, omega_hi)."""
+    return (max(limits.v_min, v + limits.a_min * dt),
+            min(limits.v_max, v + limits.a_max * dt),
+            max(limits.omega_min, omega + limits.alpha_min * dt),
+            min(limits.omega_max, omega + limits.alpha_max * dt))
+
+
 def clamp_command(desired: VelocityCommand, prev: VelocityCommand,
                   limits: KinematicLimits, dt: float) -> VelocityCommand:
-    """Clip a command to the velocity box intersected with the window
-    reachable from `prev` within `dt` under the acceleration limits."""
+    """Clip a command to the `velocity_window` reachable from `prev`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    v_lo = max(limits.v_min, prev.v + limits.a_min * dt)
-    v_hi = min(limits.v_max, prev.v + limits.a_max * dt)
-    w_lo = max(limits.omega_min, prev.omega + limits.alpha_min * dt)
-    w_hi = min(limits.omega_max, prev.omega + limits.alpha_max * dt)
+    v_lo, v_hi, w_lo, w_hi = velocity_window(prev.v, prev.omega, limits, dt)
     v = min(max(desired.v, v_lo), v_hi)
     w = min(max(desired.omega, w_lo), w_hi)
     return VelocityCommand(v, w)
