@@ -103,7 +103,7 @@ def main(argv=None) -> int:
                 emit_trajectory_svg(result, csv_path[:-4] + ".svg")
             rep = result.report
             print(f"outcome: {result.outcome.value}")
-            for label, val in zip(rep.COLUMNS, rep.as_tuple()):
+            for label, val in zip(rep.columns(args.cost_mode), rep.as_tuple()):
                 print(f"  {label:14s} {val:.6g}")
             print(f"log: {csv_path}")
             return 0

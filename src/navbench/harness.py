@@ -164,12 +164,13 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
             path_end = global_path.points[-1]
             if math.hypot(ref_end[0] - path_end[0], ref_end[1] - path_end[1]) <= 1e-9:
                 req_goal = tuple(goal)
-            elif len(ref.points) >= 2:
-                a = ref.points[-2]
-                req_goal = (ref_end[0], ref_end[1],
-                            math.atan2(ref_end[1] - a[1], ref_end[0] - a[0]))
             else:
-                req_goal = (ref_end[0], ref_end[1], robot.theta)
+                if len(ref.points) >= 2:
+                    a = ref.points[-2]
+                    heading = math.atan2(ref_end[1] - a[1], ref_end[0] - a[0])
+                else:
+                    heading = robot.theta
+                req_goal = (ref_end[0], ref_end[1], heading)
             req = LocalPlanRequest(local_map, local_field, robot, ref, req_goal,
                                    limits, cfg.control_period,
                                    d_safe=cfg.d_safe, goal_tol=cfg.goal_pos_tol)
@@ -285,8 +286,11 @@ def run_suite(manifest_path, planners, cfg: TrialConfig, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     scenarios = [(group, load_scenario(path)) for group, path in entries]
 
-    jobs_spec = [(group, scn, planner, pair) for group, scn in scenarios
-                 for pair in range(len(scn.start_goal_pairs)) for planner in planners]
+    jobs_spec = []
+    for group, scn in scenarios:
+        for pair in range(len(scn.start_goal_pairs)):
+            for planner in planners:
+                jobs_spec.append((group, scn, planner, pair))
 
     results = []
     crashed = []

@@ -76,19 +76,25 @@ class MetricsConfig:
             raise ValidationError("d_safe must be positive")
 
 
+C_UNITS = {"wallclock": "ms", "iterations": "iter"}  # C's unit by cost mode
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     min_obstacle_distance: float   # d_o [m]
     exposure_percent: float        # p_o [%]
     travel_time: float             # T [s]
-    compute_mean: float            # C [ms]
+    compute_mean: float            # C [ms] or C [iter], by cost mode
     path_smoothness: float         # f_ps [m^2]
     velocity_smoothness: float     # f_vs [m/s^2]
     path_length: float             # S [m]
     outcome: Outcome
 
-    COLUMNS = ("d_o [m]", "p_o [%]", "T [s]", "C [ms]",
-               "f_ps [m^2]", "f_vs [m/s^2]", "S [m]")
+    @staticmethod
+    def columns(cost_mode: str) -> tuple:
+        """Labels of `as_tuple`; C is in ms of wall clock or planner iterations."""
+        return ("d_o [m]", "p_o [%]", "T [s]", f"C [{C_UNITS[cost_mode]}]",
+                "f_ps [m^2]", "f_vs [m/s^2]", "S [m]")
 
     def as_tuple(self):
         return (self.min_obstacle_distance, self.exposure_percent, self.travel_time,

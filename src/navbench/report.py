@@ -8,22 +8,23 @@ files so `bench report` reproduces exactly what `bench run` wrote.
 from __future__ import annotations
 
 import os
-from collections import defaultdict
 
 from .errors import ParseError
-from .metrics import (MetricsConfig, MetricsReport, Outcome, aggregate_reports,
+from .metrics import (C_UNITS, MetricsConfig, MetricsReport, Outcome, aggregate_reports,
                       compute_report, read_log_csv)
-
-C_LABELS = {"wallclock": "C [ms]", "iterations": "C [iter]"}  # by the CSV's cost_mode
 
 
 def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
 
-class GroupRows(defaultdict):
-    """{(scenario, pair): {planner: report}} of one group, and its cost mode."""
-    cost_mode = None
+class GroupRows(dict):
+    """{(scenario, pair): {planner: report}} of one group, whose trials all
+    ran in `cost_mode`."""
+
+    def __init__(self, cost_mode: str):
+        super().__init__()
+        self.cost_mode = cost_mode
 
 
 def collect_rows(in_dir):
@@ -32,34 +33,36 @@ def collect_rows(in_dir):
     Returns {group: GroupRows} plus the sorted planner list actually present.
     A group whose trials ran in different cost modes raises ParseError.
     """
-    groups = defaultdict(lambda: GroupRows(dict))
+    groups = {}
     planners = set()
     for name in sorted(os.listdir(in_dir)):
         if not name.endswith(".csv") or name.startswith("table_"):
             continue
         path = os.path.join(in_dir, name)
         log, meta = read_log_csv(path)
-        rows = groups[meta.get("group", "ungrouped")]
+        group = meta.get("group", "ungrouped")
         scenario = meta.get("scenario", name)
         pair = int(meta.get("pair", 0))
         planner = meta.get("planner", "planner")
         d_safe = float(meta.get("d_safe", 0.34))
         mode = meta.get("cost_mode", "wallclock")
-        if mode not in C_LABELS or rows.cost_mode not in (None, mode):
-            raise ParseError(f"cost_mode {mode!r} is not the group's "
-                             f"{rows.cost_mode or ' or '.join(C_LABELS)}", path=path)
-        rows.cost_mode = mode
+        if mode not in C_UNITS:
+            raise ParseError(f"unknown cost_mode {mode!r}", path=path)
+        rows = groups.setdefault(group, GroupRows(mode))
+        if mode != rows.cost_mode:
+            raise ParseError(f"cost_mode {mode!r} differs from the {rows.cost_mode!r} "
+                             f"of group {group!r}", path=path)
         report = compute_report(log, MetricsConfig(d_safe=d_safe))
-        rows[(scenario, pair)][planner] = report
+        rows.setdefault((scenario, pair), {})[planner] = report
         planners.add(planner)
     return groups, sorted(planners)
 
 
-def render_group_table(rows: dict, planners: list, cost_mode: str) -> tuple[str, str]:
-    """(markdown, csv) table for one group's rows; `cost_mode` labels C."""
+def render_group_table(rows: GroupRows, planners: list) -> tuple[str, str]:
+    """(markdown, csv) table for one group's rows."""
+    columns = MetricsReport.columns(rows.cost_mode)
     header = ["Scenario", "Pair"]
-    for metric in MetricsReport.COLUMNS:
-        metric = C_LABELS[cost_mode] if metric == "C [ms]" else metric
+    for metric in columns:
         for p in planners:
             header.append(f"{metric} {p.upper()}")
 
@@ -70,7 +73,7 @@ def render_group_table(rows: dict, planners: list, cost_mode: str) -> tuple[str,
         for p, rep in by_planner.items():
             per_planner_reports[p].append(rep)
         cells = [scenario, str(pair)]
-        for metric_idx in range(len(MetricsReport.COLUMNS)):
+        for metric_idx in range(len(columns)):
             for p in planners:
                 rep = by_planner.get(p)
                 if rep is None or rep.outcome is not Outcome.SUCCESS:
@@ -80,7 +83,7 @@ def render_group_table(rows: dict, planners: list, cost_mode: str) -> tuple[str,
         body.append(cells)
 
     mean_cells = ["mean", ""]
-    for metric_idx in range(len(MetricsReport.COLUMNS)):
+    for metric_idx in range(len(columns)):
         for p in planners:
             agg = aggregate_reports(per_planner_reports[p])
             mean_cells.append("-" if agg is None else _fmt6(agg.as_tuple()[metric_idx]))
@@ -99,7 +102,7 @@ def write_group_tables(in_dir, out_dir=None) -> list:
     groups, planners = collect_rows(in_dir)
     paths = []
     for group, rows in sorted(groups.items()):
-        md, csv = render_group_table(rows, planners, rows.cost_mode)
+        md, csv = render_group_table(rows, planners)
         md_path = os.path.join(out_dir, f"table_{group}.md")
         csv_path = os.path.join(out_dir, f"table_{group}.csv")
         with open(md_path, "w", encoding="utf-8") as f:

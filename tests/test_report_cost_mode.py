@@ -64,3 +64,24 @@ def test_mixed_cost_modes_in_one_group_raise(manifest, tmp_path):
     with pytest.raises(ParseError, match="wallclock.csv"):
         report.collect_rows(str(tmp_path))
     assert cli.main(["report", "--in", str(tmp_path)]) == 2
+
+
+def test_unknown_cost_mode_raises(manifest, tmp_path):
+    scn = load_scenario(os.path.join(os.path.dirname(manifest), "small_office.scene"))
+    result = harness.run_trial(scn, "dwa", 0, _cfg("iterations"))
+    result.metadata["cost_mode"] = "cycles"
+    write_log_csv(result.log, tmp_path / "trial.csv", result.metadata)
+    with pytest.raises(ParseError, match="trial.csv"):
+        report.collect_rows(str(tmp_path))
+
+
+@pytest.mark.parametrize("mode, label, other", [("iterations", "C [iter]", "C [ms]"),
+                                                ("wallclock", "C [ms]", "C [iter]")])
+def test_trial_printout_labels_c_by_cost_mode(manifest, tmp_path, capsys, mode, label,
+                                              other):
+    scene = os.path.join(os.path.dirname(manifest), "small_office.scene")
+    assert cli.main(["trial", "--scene", scene, "--planner", "dwa", "--out", str(tmp_path),
+                     "--cost-mode", mode, "--timeout", str(_cfg(mode).timeout)]) == 0
+    out = capsys.readouterr().out
+    assert f"  {label} " in out
+    assert other not in out
