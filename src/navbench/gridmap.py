@@ -120,10 +120,18 @@ class DistanceField(GridGeometry):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.height, self.width):
             raise ValidationError("distance field shape mismatch")
-        vals = vals.copy()
+        # A copy edge-padded by 1 cell before and 2 after on each axis, for
+        # sample_field's stencils (+-inf read as +-INF_SENTINEL_M); values views it.
+        pad = np.empty((self.height + 3, self.width + 3))
+        pad[1:-2, 1:-2] = vals
+        pad[1:-2, :1], pad[1:-2, -2:] = vals[:, :1], vals[:, -1:]
+        pad[:1], pad[-2:] = pad[1:2], pad[-3:-2]
+        vals = pad[1:-2, 1:-2]
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_all_finite", bool(np.isfinite(vals).all()))
+        if not np.isfinite(vals).all():
+            pad = np.where(np.isfinite(pad), pad, np.where(pad > 0, INF_SENTINEL_M, -INF_SENTINEL_M))
+        object.__setattr__(self, "_stencil", pad)
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,8 @@ def sample_field(field: DistanceField, xs, ys, *, with_gradient=False, floor=Tru
     Out-of-grid queries are snapped to the boundary.  The 4x4 stencil is
     edge-clamped, which keeps the interpolant continuous across the whole
     grid; values are clamped below at zero unless ``floor=False`` (signed
-    fields).
+    fields).  The 16 stencil cells are read by flat index from the field's
+    cached edge-padded copy, `_stencil`; a NaN query gives NaN.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -244,29 +253,26 @@ def sample_field(field: DistanceField, xs, ys, *, with_gradient=False, floor=Tru
 
     u_raw = (xs - ox) / res - 0.5
     v_raw = (ys - oy) / res - 0.5
-    u = np.clip(u_raw, 0.0, w - 1.0)
-    v = np.clip(v_raw, 0.0, h - 1.0)
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(v).astype(np.int64)
+    u = np.minimum(np.maximum(u_raw, 0.0), w - 1.0)
+    v = np.minimum(np.maximum(v_raw, 0.0), h - 1.0)
+    i0 = np.floor(u)
+    j0 = np.floor(v)
     fu = u - i0
     fv = v - j0
-
-    vals = field.values
-    if not field._all_finite:
-        vals = np.where(np.isfinite(vals), vals,
-                        np.where(vals > 0, INF_SENTINEL_M, -INF_SENTINEL_M))
+    stride = w + 3
+    base = (np.fmax(j0, 0.0) * stride + np.fmax(i0, 0.0)).astype(np.intp)
+    cells = [field._stencil.ravel().take(base + (j * stride + i))
+             for j in range(4) for i in range(4)]
 
     wu = _catmull_rom_weights(fu)
     wv = _catmull_rom_weights(fv)
-    cols = [np.clip(i0 + k - 1, 0, w - 1) for k in range(4)]
-    rows = [np.clip(j0 + k - 1, 0, h - 1) for k in range(4)]
 
     value = np.zeros_like(u)
     row_vals = []
     for j in range(4):
         acc = np.zeros_like(u)
         for i in range(4):
-            acc += wu[i] * vals[rows[j], cols[i]]
+            acc += wu[i] * cells[4 * j + i]
         row_vals.append(acc)
         value += wv[j] * acc
     raw = value
@@ -283,7 +289,7 @@ def sample_field(field: DistanceField, xs, ys, *, with_gradient=False, floor=Tru
     for j in range(4):
         acc_du = np.zeros_like(u)
         for i in range(4):
-            acc_du += dwu[i] * vals[rows[j], cols[i]]
+            acc_du += dwu[i] * cells[4 * j + i]
         dvalue_du += wv[j] * acc_du
         dvalue_dv += dwv[j] * row_vals[j]
     gx = dvalue_du / res
@@ -301,7 +307,7 @@ def distance_at(field: DistanceField, x: float, y: float) -> float:
     """Interpolated clearance at a world point; raises outside the grid."""
     if not field.contains(x, y):
         raise OutOfBoundsError(f"query ({x:.3f}, {y:.3f}) outside distance field")
-    return float(sample_field(field, x, y))
+    return distance_at_clamped(field, x, y)
 
 
 def distance_at_clamped(field: DistanceField, x: float, y: float) -> float:
@@ -322,6 +328,11 @@ def _march(grid: GridGeometry, px, py, dx, dy, t_stop, blocking):
     `blocking` (a (height, width) bool mask, or None).  Returns the entry
     distance of each ray's blocking cell (+inf where it met none) and the
     (height, width) mask of the cells the rays traversed.
+
+    Cells are coded 0 (open), 2 (blocking) or 1 (stop) in a copy with a ring
+    of 1s, so leaving the grid is one lookup; rays step flat indices, x first
+    on a tie, and entering at t >= t_stop sets the stop bit.  Stopped rays park
+    on cell 0 until fewer than half are live, then the live ones are compacted.
     """
     ox, oy = grid.origin
     res = grid.resolution
@@ -337,41 +348,40 @@ def _march(grid: GridGeometry, px, py, dx, dy, t_stop, blocking):
         tmy = np.where(dy != 0.0, (by - py) / dy, np.inf)
     tmx = np.where(np.isnan(tmx), np.inf, tmx)
     tmy = np.where(np.isnan(tmy), np.inf, tmy)
-    sx = np.sign(dx).astype(np.int64)
-    sy = np.sign(dy).astype(np.int64)
-
     t_stop = np.broadcast_to(t_stop, ix.shape)
-    t_entry = np.zeros(ix.shape)
     t_hit = np.full(ix.shape, np.inf)
-    traversed = np.zeros(h * w, dtype=bool)
-    blocks = None if blocking is None else blocking.ravel()
-    active = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h) & (t_stop > 0)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        cell = iy[idx] * w + ix[idx]
-        traversed[cell] = True
-        if blocks is not None:
-            hit = blocks[cell]
-            if hit.any():
-                hidx = idx[hit]
-                t_hit[hidx] = t_entry[hidx]
-                active[hidx] = False
-                idx = idx[~hit]
-                if idx.size == 0:
-                    continue
-        step_x = tmx[idx] <= tmy[idx]
-        xs_i = idx[step_x]
-        ys_i = idx[~step_x]
-        t_entry[xs_i] = tmx[xs_i]
-        ix[xs_i] += sx[xs_i]
-        tmx[xs_i] += tdx[xs_i]
-        t_entry[ys_i] = tmy[ys_i]
-        iy[ys_i] += sy[ys_i]
-        tmy[ys_i] += tdy[ys_i]
-        dead = (t_entry[idx] >= t_stop[idx]) | (ix[idx] < 0) | (ix[idx] >= w) \
-            | (iy[idx] < 0) | (iy[idx] >= h)
-        active[idx[dead]] = False
-    return t_hit, traversed.reshape(h, w)
+    code = np.ones((h + 2, w + 2), dtype=np.uint8)
+    code[1:-1, 1:-1] = 0 if blocking is None else blocking * np.uint8(2)
+    code = code.ravel()
+    seen = np.zeros(code.size, dtype=bool)
+    ray = np.flatnonzero((ix >= 0) & (ix < w) & (iy >= 0) & (iy < h) & (t_stop > 0))
+    cell = (iy[ray] + 1) * (w + 2) + ix[ray] + 1
+    tmx, tmy, tdx, tdy, ts = tmx[ray], tmy[ray], tdx[ray], tdy[ray], t_stop[ray]
+    sx, sy = np.sign(dx[ray]).astype(np.int64), np.sign(dy[ray]).astype(np.int64) * (w + 2)
+    te, k, parked = np.zeros(ray.size), code[cell], 0
+    while ray.size:
+        stop = k != 0
+        n_stop = np.count_nonzero(stop)
+        if n_stop != parked:
+            hit = k == 2
+            t_hit[ray[hit]] = te[hit]
+            seen[cell[hit]] = True
+            if 2 * n_stop > ray.size:
+                ray, cell, tmx, tmy, tdx, tdy, ts, sx, sy, k = (
+                    a[~stop] for a in (ray, cell, tmx, tmy, tdx, tdy, ts, sx, sy, k))
+                parked = 0
+                continue
+            cell[stop] = sx[stop] = sy[stop] = 0
+            parked = n_stop
+        seen[cell] = True
+        step_x = tmx <= tmy
+        te = np.where(step_x, tmx, tmy)
+        np.copyto(tmx, te + tdx, where=step_x)
+        np.copyto(tmy, te + tdy, where=~step_x)
+        cell += np.where(step_x, sx, sy)
+        k = code[cell]
+        k |= te >= ts
+    return t_hit, seen.reshape(h + 2, w + 2)[1:-1, 1:-1].copy()
 
 
 def raycast(world: OccupancyGrid, pose, spec: ScanSpec = ScanSpec()) -> LaserScan:
