@@ -1,10 +1,11 @@
 """Grid-level global planner feeding both local planners.
 
 Cost-to-go is computed by Dijkstra over the 8-connected free space with an
-obstacle-proximity surcharge, on an edge layout cached per grid shape.  The
-path is extracted by steepest descent with deterministic tie-breaking and
-smoothed by greedy shortcuts, all candidates of a kept vertex clearance-checked
-in one batched field sample.
+obstacle-proximity surcharge.  The graph is a fixed-degree CSR (8 slots per
+cell) cached per grid shape; a call only prices its edges, blocked cells at
++inf.  The path is extracted by steepest descent with deterministic
+tie-breaking and smoothed by greedy shortcuts, all candidates of a kept
+vertex clearance-checked in one batched field sample.
 """
 
 from __future__ import annotations
@@ -54,20 +55,18 @@ def _path_from_points(points) -> GlobalPath:
 
 @functools.lru_cache(maxsize=8)
 def _edge_layout(w: int, h: int):
-    """(dst, src, diagonal) of every 8-neighbour edge of a w x h grid, as
-    int32 flat cell indices sorted by dst, then src: CSR row order.  Cached
-    and shared between calls, so read-only."""
+    """(dst, src, diagonal) of the transposed 8-neighbour CSR of a w x h grid
+    at fixed degree: row dst's 8 slots, in _NEIGHBORS order, hold the int32
+    flat src = dst - _NEIGHBORS[k], or dst (a self-loop) where that is off the
+    grid, so indptr is arange(0, 8n + 1, 8).  dst is an (n, 8) broadcast
+    view.  Cached and shared between calls, so read-only."""
     idx = np.arange(w * h, dtype=np.int32).reshape(h, w)
-    dst, src, diagonal = [], [], []
-    for dx, dy in _NEIGHBORS:
-        src.append(idx[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)].ravel())
-        dst.append(idx[max(0, dy):h + min(0, dy), max(0, dx):w + min(0, dx)].ravel())
-        diagonal.append(np.full(src[-1].size, bool(dx and dy)))
-    order = np.lexsort((np.concatenate(src), np.concatenate(dst)))
-    layout = tuple(np.concatenate(a)[order] for a in (dst, src, diagonal))
-    for a in layout:
-        a.flags.writeable = False
-    return layout
+    pad = np.pad(idx, 1, constant_values=-1)
+    src = np.stack([pad[1 - dy:h + 1 - dy, 1 - dx:w + 1 - dx] for dx, dy in _NEIGHBORS], -1)
+    src = np.where(src < 0, idx[..., None], src).ravel()
+    diagonal = np.array([bool(dx and dy) for dx, dy in _NEIGHBORS])
+    src.flags.writeable = diagonal.flags.writeable = False
+    return np.broadcast_to(idx.reshape(-1, 1), (w * h, 8)), src, diagonal
 
 
 def cost_to_go(grid: OccupancyGrid, goal, radius: float,
@@ -91,16 +90,17 @@ def cost_to_go(grid: OccupancyGrid, goal, radius: float,
     unknown_extra = np.where(grid.cells == CellState.UNKNOWN,
                              UNKNOWN_STEP_PENALTY * res, 0.0)
     node_cost = (prox + unknown_extra).ravel()
+    node_cost[~trav_flat] = np.inf
 
-    # Transposed layout (row = dst) so dijkstra-from-goal follows reversed edges.
-    dst, src, diagonal = _edge_layout(w, h)
-    ok = trav_flat[src] & trav_flat[dst]
-    dst, src = dst[ok], src[ok]
-    step_len = np.where(diagonal[ok], res * math.sqrt(2.0), res)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(dst, minlength=n))
-    graph = csr_matrix((step_len + node_cost[dst], src, indptr), shape=(n, n))
+    # Transposed layout (row = dst) so dijkstra-from-goal follows reversed
+    # edges.  A blocked row relays nothing (+inf weights), and the labels its
+    # traversable neighbours hand it are masked out after the search.
+    _, src, diagonal = _edge_layout(w, h)
+    weights = node_cost[:, None] + np.where(diagonal, res * math.sqrt(2.0), res)
+    graph = csr_matrix((weights.ravel(), src, np.arange(0, 8 * n + 1, 8, dtype=np.int32)),
+                       shape=(n, n))
     dist = _csgraph_dijkstra(graph, directed=True, indices=goal_flat)
+    dist[~trav_flat] = np.inf
     return dist.reshape(h, w)
 
 

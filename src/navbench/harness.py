@@ -2,8 +2,9 @@
 
 Each control tick: sense (raycast + scan fusion), stamp agents, refresh the
 distance fields (the sensed field is rebuilt only when the tick map's cells
-changed), refresh the global reference, call the local planner, clamp the
-command, integrate physics in sub-steps, and append one log record.
+changed; with agents it is also the ground-truth field while the sensed map
+equals the truth), refresh the global reference, call the local planner,
+clamp the command, integrate physics in sub-steps, and append one log record.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
     truth = scenario.map
     sensed = scenario.prior_map
     static_truth_field = distance_transform(truth, UnknownAs.FREE)
+    same_frame = (sensed.resolution, sensed.origin) == (truth.resolution, truth.origin)
     replan_every_tick = scenario.has_unknown_prior or bool(agents)
 
     records = []
@@ -136,7 +138,9 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         if field_map is None or not array_equal(tick_map.cells, field_map.cells):
             sensed_field = distance_transform(tick_map, UnknownAs.FREE)
             field_map = tick_map
-        if agents:
+        if agents and same_frame and array_equal(sensed.cells, truth.cells):
+            truth_field = sensed_field  # stamped truth == tick_map, its source
+        elif agents:
             truth_field = distance_transform(stamp_agents(truth, agents), UnknownAs.FREE)
         else:
             truth_field = static_truth_field
