@@ -124,7 +124,7 @@ def main(argv=None) -> int:
                                            pairs_per_scene=args.pairs)
             print(manifest)
             return 0
-    except BenchError as exc:
+    except (BenchError, OSError) as exc:  # OSError: an input file is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

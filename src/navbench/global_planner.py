@@ -55,18 +55,18 @@ def _path_from_points(points) -> GlobalPath:
 
 @functools.lru_cache(maxsize=8)
 def _edge_layout(w: int, h: int):
-    """(dst, src, diagonal) of the transposed 8-neighbour CSR of a w x h grid
-    at fixed degree: row dst's 8 slots, in _NEIGHBORS order, hold the int32
+    """(src, diagonal) of the transposed 8-neighbour CSR of a w x h grid at
+    fixed degree: row dst's 8 slots, in _NEIGHBORS order, hold the int32
     flat src = dst - _NEIGHBORS[k], or dst (a self-loop) where that is off the
-    grid, so indptr is arange(0, 8n + 1, 8).  dst is an (n, 8) broadcast
-    view.  Cached and shared between calls, so read-only."""
+    grid, so indptr is arange(0, 8n + 1, 8).  Cached and shared between
+    calls, so read-only."""
     idx = np.arange(w * h, dtype=np.int32).reshape(h, w)
     pad = np.pad(idx, 1, constant_values=-1)
     src = np.stack([pad[1 - dy:h + 1 - dy, 1 - dx:w + 1 - dx] for dx, dy in _NEIGHBORS], -1)
     src = np.where(src < 0, idx[..., None], src).ravel()
     diagonal = np.array([bool(dx and dy) for dx, dy in _NEIGHBORS])
     src.flags.writeable = diagonal.flags.writeable = False
-    return np.broadcast_to(idx.reshape(-1, 1), (w * h, 8)), src, diagonal
+    return src, diagonal
 
 
 def cost_to_go(grid: OccupancyGrid, goal, radius: float,
@@ -95,7 +95,7 @@ def cost_to_go(grid: OccupancyGrid, goal, radius: float,
     # Transposed layout (row = dst) so dijkstra-from-goal follows reversed
     # edges.  A blocked row relays nothing (+inf weights), and the labels its
     # traversable neighbours hand it are masked out after the search.
-    _, src, diagonal = _edge_layout(w, h)
+    src, diagonal = _edge_layout(w, h)
     weights = node_cost[:, None] + np.where(diagonal, res * math.sqrt(2.0), res)
     graph = csr_matrix((weights.ravel(), src, np.arange(0, 8 * n + 1, 8, dtype=np.int32)),
                        shape=(n, n))

@@ -22,14 +22,14 @@ from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
                      recovery_output, terminal_output)
 
 DT_FLOOR = 0.01  # lower bound on every time delta [s]
+X, Y, TH, DT = range(4)  # the variables of a pose in a Jacobian term
 
 
 @dataclass(frozen=True)
 class TebConfig:
     n_poses: int = 30
     dt_init: float = 0.3
-    outer_iterations: int = 4
-    inner_iterations: int = 10
+    max_iterations: int = 40
     w_time: float = 1.0
     w_obstacle: float = 50.0
     w_velocity: float = 2.0
@@ -43,8 +43,8 @@ class TebConfig:
             raise ValidationError("band needs at least 3 poses")
         if self.dt_init <= 0:
             raise ValidationError("dt_init must be positive")
-        if self.outer_iterations < 1 or self.inner_iterations < 1:
-            raise ValidationError("iteration counts must be at least 1")
+        if self.max_iterations < 1:
+            raise ValidationError("max_iterations must be at least 1")
         for w in (self.w_time, self.w_obstacle, self.w_velocity, self.w_acceleration,
                   self.w_nonholonomic, self.w_goal):
             if w < 0:
@@ -58,6 +58,15 @@ class BandProblem:
 
     State vector: [x_1, y_1, th_1, ..., x_{n-1}, y_{n-1}, th_{n-1},
     dt_0, ..., dt_{n-2}]; pose 0 is pinned to the robot pose.
+
+    Every block touches only neighbouring poses, so it states its partials
+    as terms `(pose, var, values)` over its `rows`: `values[i]` is the
+    partial of row `rows[i]` by variable `var` (X, Y, TH, or DT, the time
+    delta of the segment leaving the pose) of pose `pose[i]`.  Row k of a
+    per-segment block is segment k, from pose k to pose k+1.  `_jacobian`
+    lays the terms out through one column map, `cols`, whose three leading
+    columns belong to pinned pose 0 and are cut off, so a block writes its
+    pose-0 partials like any other.
     """
 
     # Residual blocks in stacking order; each name has a `block_<name>` method.
@@ -74,6 +83,13 @@ class BandProblem:
         self.m = self.n - 1                    # segments == free poses
         self.nv = 3 * self.m + self.m          # variables
         self.dt0 = 3 * self.m                  # column of dt_0
+        self.seg = np.arange(self.m)           # segment k starts at pose k ...
+        self.nxt = self.seg + 1                # ... and ends at pose k+1
+        self.xyz = np.arange(3)
+        # cols[pose, var]: x, y, th of pose p at 3p + var, so pose 0's three
+        # pinned columns lead; dt_p after all poses (the last pose has none).
+        self.cols = np.column_stack([np.arange(3 * self.n).reshape(self.n, 3),
+                                     3 * self.n + np.arange(self.n)])
         self.sq = {name: math.sqrt(w) for name, w in (
             ("time", cfg.w_time), ("obstacle", cfg.w_obstacle),
             ("velocity", cfg.w_velocity), ("acceleration", cfg.w_acceleration),
@@ -101,9 +117,6 @@ class BandProblem:
         out[self.dt0:] = np.maximum(out[self.dt0:], DT_FLOOR)
         return out
 
-    def _col_x(self, k):  # pose index k >= 1
-        return 3 * (np.asarray(k) - 1)
-
     def _geometry(self, z):
         xs, ys, ths, dts = self.unpack(z)
         cx = np.diff(xs)
@@ -119,15 +132,55 @@ class BandProblem:
                     length=length, omega=omega, v=v, sign_v=sign_v,
                     cos_s=cos_s, sin_s=sin_s)
 
-    # -- residual blocks ---------------------------------------------------
+    # -- shared hinges -----------------------------------------------------
+
+    def _rate_hinge(self, rate, limit, dts, dirs):
+        """sqrt(w_velocity) * max(0, rate_k - limit) for a per-segment rate
+        |change_k| / dt_k.  `dirs` holds (var, u) pairs, u_k being the
+        partial of |change_k| by var of pose k+1 (of pose k: -u_k); it is
+        None on the residual-only path."""
+        sw = self.sq["velocity"]
+        over = rate - limit
+        act = over > 0
+        r = sw * np.where(act, over, 0.0)
+        if dirs is None:
+            return r, None
+        coef = np.where(act, sw / dts, 0.0)
+        terms = [(self.seg, DT, np.where(act, -sw * rate / dts, 0.0))]
+        for var, u in dirs:
+            terms += [(self.nxt, var, coef * u), (self.seg, var, -(coef * u))]
+        return r, (self.seg, terms)
+
+    def _rate_change_hinge(self, q, limit, dts, dq):
+        """sqrt(w_acceleration) * max(0, |a_k| - limit) for the change of a
+        per-segment rate q, a_k = (q_{k+1} - q_k) / tau_k with tau_k the mean
+        of dt_k and dt_{k+1}.  `dq(c, s)` returns (var, c * dq_s / d var of
+        pose s+1) pairs (of pose s: the negatives); it is None on the
+        residual-only path.  Only active rows get terms."""
+        sw = self.sq["acceleration"]
+        tau = 0.5 * (dts[:-1] + dts[1:])
+        a = (q[1:] - q[:-1]) / tau
+        over = np.abs(a) - limit
+        act = over > 0
+        r = sw * np.where(act, over, 0.0)
+        if dq is None:
+            return r, None
+        k = np.flatnonzero(act)
+        if len(k) == 0:
+            return r, (k, [])
+        c = sw * np.sign(a[k]) / tau[k]
+        # d a / d dt_k = (q_k / dt_k) / tau - a / (2 tau), and likewise dt_{k+1}
+        terms = [(k, DT, c * (q[k] / dts[k]) - 0.5 * c * a[k]),
+                 (k + 1, DT, c * (-q[k + 1] / dts[k + 1]) - 0.5 * c * a[k])]
+        for (var, d0), (_, d1) in zip(dq(c, k), dq(c, k + 1)):
+            terms += [(k, var, d0), (k + 1, var, -d1 - d0), (k + 2, var, d1)]
+        return r, (k, terms)
+
+    # -- residual blocks: (r, (rows, terms)), or (r, None) without partials --
 
     def block_time(self, g, with_j):
         r = self.sq["time"] * g["dts"]
-        if not with_j:
-            return r, None
-        J = np.zeros((self.m, self.nv))
-        J[np.arange(self.m), self.dt0 + np.arange(self.m)] = self.sq["time"]
-        return r, J
+        return r, (self.seg, [(self.seg, DT, self.sq["time"])]) if with_j else None
 
     def block_obstacle(self, g, with_j):
         # The field is signed (negative inside obstacles) so penetrated poses
@@ -143,179 +196,72 @@ class BandProblem:
         r = sw * np.where(act, h, 0.0)
         if not with_j:
             return r, None
-        J = np.zeros((self.m, self.nv))
-        rows = np.arange(self.m)
-        cols = self._col_x(np.arange(1, self.n))
-        J[rows, cols] = np.where(act, -sw * gx, 0.0)
-        J[rows, cols + 1] = np.where(act, -sw * gy, 0.0)
-        return r, J
+        return r, (self.seg, [(self.nxt, X, np.where(act, -sw * gx, 0.0)),
+                              (self.nxt, Y, np.where(act, -sw * gy, 0.0))])
 
     def block_velocity(self, g, with_j):
-        sw = self.sq["velocity"]
-        vhat = g["length"] / g["dts"]
-        over = vhat - self.limits.v_max
-        act = over > 0
-        r = sw * np.where(act, over, 0.0)
-        if not with_j:
-            return r, None
-        J = np.zeros((self.m, self.nv))
-        L = np.where(g["length"] > 1e-12, g["length"], 1.0)
-        ux = np.where(g["length"] > 1e-12, g["cx"] / L, 0.0)
-        uy = np.where(g["length"] > 1e-12, g["cy"] / L, 0.0)
-        rows = np.arange(self.m)
-        coef = np.where(act, sw / g["dts"], 0.0)
-        cols_b = self._col_x(np.arange(1, self.n))          # pose k+1 of segment k
-        J[rows, cols_b] += coef * ux
-        J[rows, cols_b + 1] += coef * uy
-        has_a = rows >= 1                                    # pose k free for k >= 1
-        cols_a = self._col_x(np.arange(1, self.n - 1))
-        J[rows[has_a], cols_a] -= (coef * ux)[has_a]
-        J[rows[has_a], cols_a + 1] -= (coef * uy)[has_a]
-        J[rows, self.dt0 + rows] = np.where(act, -sw * vhat / g["dts"], 0.0)
-        return r, J
+        dirs = ((X, g["ux"]), (Y, g["uy"])) if with_j else None
+        return self._rate_hinge(g["length"] / g["dts"], self.limits.v_max, g["dts"], dirs)
 
     def block_angular_velocity(self, g, with_j):
-        sw = self.sq["velocity"]
-        w = g["omega"]
-        over = np.abs(w) - self.limits.omega_max
-        act = over > 0
-        r = sw * np.where(act, over, 0.0)
-        if not with_j:
-            return r, None
-        J = np.zeros((self.m, self.nv))
-        rows = np.arange(self.m)
-        sgn = np.sign(w)
-        coef = np.where(act, sw * sgn / g["dts"], 0.0)
-        cols_b = self._col_x(np.arange(1, self.n)) + 2
-        J[rows, cols_b] += coef
-        has_a = rows >= 1
-        cols_a = self._col_x(np.arange(1, self.n - 1)) + 2
-        J[rows[has_a], cols_a] -= coef[has_a]
-        J[rows, self.dt0 + rows] = np.where(act, -sw * np.abs(w) / g["dts"], 0.0)
-        return r, J
+        dirs = ((TH, np.sign(g["omega"])),) if with_j else None
+        return self._rate_hinge(np.abs(g["omega"]), self.limits.omega_max, g["dts"], dirs)
 
     def block_acceleration(self, g, with_j):
-        sw = self.sq["acceleration"]
-        v, dts = g["v"], g["dts"]
-        tau = 0.5 * (dts[:-1] + dts[1:])
-        a = (v[1:] - v[:-1]) / tau
-        over = np.abs(a) - self.limits.a_max
-        act = over > 0
-        r = sw * np.where(act, over, 0.0)
-        if not with_j:
-            return r, None
-        J = np.zeros((max(self.m - 1, 0), self.nv))
-        if self.m < 2:
-            return r, J
-        rows = np.arange(self.m - 1)
-        sgn = np.sign(a)
-        coef = np.where(act, sw * sgn / tau, 0.0)
-        L = np.where(g["length"] > 1e-12, g["length"], 1.0)
-        ux = np.where(g["length"] > 1e-12, g["cx"] / L, 0.0) * g["sign_v"]
-        uy = np.where(g["length"] > 1e-12, g["cy"] / L, 0.0) * g["sign_v"]
-        # dv_k/dp_{k+1} = u_k / dt_k ; dv_k/dp_k = -u_k / dt_k
-        dv_dxb = ux / dts
-        dv_dyb = uy / dts
-        for k in range(self.m - 1):
-            c = coef[k]
-            if c == 0.0:
-                continue
-            # + dv_{k+1} terms: poses k+1, k+2
-            cb = self._col_x(k + 2)
-            J[k, cb] += c * dv_dxb[k + 1]
-            J[k, cb + 1] += c * dv_dyb[k + 1]
-            ca = self._col_x(k + 1)
-            J[k, ca] -= c * dv_dxb[k + 1]
-            J[k, ca + 1] -= c * dv_dyb[k + 1]
-            # - dv_k terms: poses k, k+1
-            J[k, ca] -= c * dv_dxb[k]
-            J[k, ca + 1] -= c * dv_dyb[k]
-            if k >= 1:
-                c0 = self._col_x(k)
-                J[k, c0] += c * dv_dxb[k]
-                J[k, c0 + 1] += c * dv_dyb[k]
-            # d a / d dt_k = (v_k / dt_k) / tau - a / (2 tau)
-            J[k, self.dt0 + k] = c * (v[k] / dts[k]) - 0.5 * c * a[k]
-            J[k, self.dt0 + k + 1] = c * (-v[k + 1] / dts[k + 1]) - 0.5 * c * a[k]
-        return r, J
+        dq = None
+        if with_j:  # dv_s / d(x, y) of pose s+1 is the signed unit chord over dt_s
+            dvx = g["ux"] * g["sign_v"] / g["dts"]
+            dvy = g["uy"] * g["sign_v"] / g["dts"]
+
+            def dq(c, s):
+                return (X, c * dvx[s]), (Y, c * dvy[s])
+        return self._rate_change_hinge(g["v"], self.limits.a_max, g["dts"], dq)
 
     def block_angular_acceleration(self, g, with_j):
-        sw = self.sq["acceleration"]
-        w, dts = g["omega"], g["dts"]
-        tau = 0.5 * (dts[:-1] + dts[1:])
-        al = (w[1:] - w[:-1]) / tau
-        over = np.abs(al) - self.limits.alpha_max
-        act = over > 0
-        r = sw * np.where(act, over, 0.0)
-        if not with_j:
-            return r, None
-        J = np.zeros((max(self.m - 1, 0), self.nv))
-        if self.m < 2:
-            return r, J
-        sgn = np.sign(al)
-        coef = np.where(act, sw * sgn / tau, 0.0)
-        for k in range(self.m - 1):
-            c = coef[k]
-            if c == 0.0:
-                continue
-            # omega_k = wrap(th_{k+1} - th_k) / dt_k
-            cb = self._col_x(k + 2) + 2
-            J[k, cb] += c / dts[k + 1]
-            ca = self._col_x(k + 1) + 2
-            J[k, ca] -= c / dts[k + 1]
-            J[k, ca] -= c / dts[k]
-            if k >= 1:
-                c0 = self._col_x(k) + 2
-                J[k, c0] += c / dts[k]
-            J[k, self.dt0 + k] = c * (w[k] / dts[k]) - 0.5 * c * al[k]
-            J[k, self.dt0 + k + 1] = c * (-w[k + 1] / dts[k + 1]) - 0.5 * c * al[k]
-        return r, J
+        # omega_s = wrap(th_{s+1} - th_s) / dt_s
+        dq = (lambda c, s: ((TH, c / g["dts"][s]),)) if with_j else None
+        return self._rate_change_hinge(g["omega"], self.limits.alpha_max, g["dts"], dq)
 
     def block_nonholonomic(self, g, with_j):
         sw = self.sq["nonholonomic"]
-        r = sw * (g["cos_s"] * g["cy"] - g["sin_s"] * g["cx"])
+        ths, cx, cy, cos_s, sin_s = g["ths"], g["cx"], g["cy"], g["cos_s"], g["sin_s"]
+        r = sw * (cos_s * cy - sin_s * cx)
         if not with_j:
             return r, None
-        J = np.zeros((self.m, self.nv))
-        rows = np.arange(self.m)
-        ths = g["ths"]
-        cols_b = self._col_x(np.arange(1, self.n))
-        J[rows, cols_b] += -sw * g["sin_s"]
-        J[rows, cols_b + 1] += sw * g["cos_s"]
-        dth_b = sw * (-np.sin(ths[1:]) * g["cy"] - np.cos(ths[1:]) * g["cx"])
-        J[rows, cols_b + 2] += dth_b
-        has_a = rows >= 1
-        cols_a = self._col_x(np.arange(1, self.n - 1))
-        J[rows[has_a], cols_a] += (sw * g["sin_s"])[has_a]
-        J[rows[has_a], cols_a + 1] += (-sw * g["cos_s"])[has_a]
-        dth_a = sw * (-np.sin(ths[:-1]) * g["cy"] - np.cos(ths[:-1]) * g["cx"])
-        J[rows[has_a], cols_a + 2] += dth_a[has_a]
-        return r, J
+        return r, (self.seg, [
+            (self.nxt, X, -sw * sin_s), (self.nxt, Y, sw * cos_s),
+            (self.nxt, TH, sw * (-np.sin(ths[1:]) * cy - np.cos(ths[1:]) * cx)),
+            (self.seg, X, sw * sin_s), (self.seg, Y, -sw * cos_s),
+            (self.seg, TH, sw * (-np.sin(ths[:-1]) * cy - np.cos(ths[:-1]) * cx))])
 
     def block_goal(self, g, with_j):
         sw = self.sq["goal"]
         gx, gy, gth = self.goal
         r = sw * np.array([g["xs"][-1] - gx, g["ys"][-1] - gy,
                            wrap_angle(g["ths"][-1] - gth)])
-        if not with_j:
-            return r, None
-        J = np.zeros((3, self.nv))
-        c = self._col_x(self.n - 1)
-        J[0, c] = sw
-        J[1, c + 1] = sw
-        J[2, c + 2] = sw
-        return r, J
+        return r, (self.xyz, [(self.n - 1, self.xyz, sw)]) if with_j else None
 
     # -- assembly ----------------------------------------------------------
 
+    def _jacobian(self, n_rows, rows, terms):
+        J = np.zeros((n_rows, 3 + self.nv))
+        for pose, var, values in terms:
+            J[rows, self.cols[pose, var]] = values
+        return J[:, 3:]
+
     def residual_blocks(self, z, with_jacobian=False):
         g = self._geometry(z)
-        return {name: getattr(self, f"block_{name}")(g, with_jacobian)
-                for name in self.BLOCKS}
-
-    def residuals(self, z) -> np.ndarray:
-        blocks = self.residual_blocks(z, with_jacobian=False)
-        return np.concatenate([blocks[name][0] for name in self.BLOCKS])
+        if with_jacobian:  # unit chord of each segment, zero where its poses coincide
+            long = g["length"] > 1e-12
+            L = np.where(long, g["length"], 1.0)
+            g["ux"] = np.where(long, g["cx"] / L, 0.0)
+            g["uy"] = np.where(long, g["cy"] / L, 0.0)
+        blocks = {}
+        for name in self.BLOCKS:
+            r, partials = getattr(self, f"block_{name}")(g, with_jacobian)
+            blocks[name] = (r, None if partials is None
+                            else self._jacobian(len(r), *partials))
+        return blocks
 
     def residuals_and_jacobian(self, z):
         blocks = self.residual_blocks(z, with_jacobian=True)
@@ -324,7 +270,8 @@ class BandProblem:
         return r, J
 
     def objective(self, z) -> float:
-        r = self.residuals(z)
+        blocks = self.residual_blocks(z)
+        r = np.concatenate([blocks[name][0] for name in self.BLOCKS])
         return float(r @ r)
 
 
@@ -332,7 +279,9 @@ def optimize_band(problem: BandProblem, z0: np.ndarray, cfg: TebConfig):
     """Damped Gauss-Newton with objective-decrease acceptance.
 
     Returns (z, objective, evaluations, trace); the trace holds the objective
-    after every accepted step and is non-increasing by construction.
+    after every accepted step and is non-increasing by construction.  It
+    stops after `cfg.max_iterations` steps, when no damping gives a step
+    that does not raise the objective, or when a step gains almost nothing.
     """
     z = problem.project(z0)
     obj = problem.objective(z)
@@ -340,39 +289,30 @@ def optimize_band(problem: BandProblem, z0: np.ndarray, cfg: TebConfig):
     lam = 1e-4
     evals = 1
     eye = np.eye(problem.nv)
-    done = False
-    for _ in range(cfg.outer_iterations):
-        if done:
-            break
-        for _ in range(cfg.inner_iterations):
-            r, J = problem.residuals_and_jacobian(z)
-            grad = J.T @ r
-            H = J.T @ J
-            accepted = False
-            for _ in range(8):
-                evals += 1
-                try:
-                    dz = np.linalg.solve(H + lam * eye, -grad)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                z_new = problem.project(z + dz)
-                obj_new = problem.objective(z_new)
-                if math.isfinite(obj_new) and obj_new <= obj:
-                    improvement = obj - obj_new
-                    z = z_new
-                    obj = obj_new
-                    trace.append(obj)
-                    lam = max(lam / 3.0, 1e-12)
-                    accepted = True
-                    if improvement <= 1e-10 * max(1.0, obj):
-                        done = True
-                    break
+    for _ in range(cfg.max_iterations):
+        r, J = problem.residuals_and_jacobian(z)
+        grad = J.T @ r
+        H = J.T @ J
+        improvement = None
+        for _ in range(8):
+            evals += 1
+            try:
+                dz = np.linalg.solve(H + lam * eye, -grad)
+            except np.linalg.LinAlgError:
                 lam *= 10.0
-            if not accepted or done:
-                if not accepted:
-                    done = True
+                continue
+            z_new = problem.project(z + dz)
+            obj_new = problem.objective(z_new)
+            if math.isfinite(obj_new) and obj_new <= obj:
+                improvement = obj - obj_new
+                z = z_new
+                obj = obj_new
+                trace.append(obj)
+                lam = max(lam / 3.0, 1e-12)
                 break
+            lam *= 10.0
+        if improvement is None or improvement <= 1e-10 * max(1.0, obj):
+            break
     return z, obj, evals, trace
 
 

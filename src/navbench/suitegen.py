@@ -140,8 +140,6 @@ def build_default_suite(root, seed: int = 0, pairs_per_scene: int = 3) -> str:
                             seed=seed + 5)
     room = generate_world("open_room", WorldParams(10.0, 10.0), seed=seed + 6)
 
-    scenes = []
-
     def add(name, grid, pairs, agents=(), masks=()):
         prior = grid
         for m in masks:
@@ -150,8 +148,6 @@ def build_default_suite(root, seed: int = 0, pairs_per_scene: int = 3) -> str:
                        start_goal_pairs=pairs, agents=agents, masks=masks)
         path = os.path.join(root, f"{name}.scene")
         save_scenario(scn, path)
-        scenes.append((name, scn))
-        return scn
 
     n = pairs_per_scene
     add("office", office,

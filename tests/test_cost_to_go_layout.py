@@ -141,18 +141,16 @@ def test_goal_in_a_corner(corner):
 def test_layout_is_fixed_degree_with_self_loops():
     global_planner._edge_layout.cache_clear()
     for w, h in ((1, 1), (1, 5), (5, 1), (4, 3)):
-        dst, src, diagonal = _edge_layout(w, h)
-        assert dst.dtype == src.dtype == np.int32
-        assert dst.shape == (w * h, 8) and dst.strides[1] == 0
-        assert not (dst.flags.writeable or src.flags.writeable or diagonal.flags.writeable)
+        src, diagonal = _edge_layout(w, h)
+        assert src.dtype == np.int32
+        assert not (src.flags.writeable or diagonal.flags.writeable)
         assert diagonal.tolist() == [bool(dx and dy) for dx, dy in global_planner._NEIGHBORS]
         for cell, slots in enumerate(src.reshape(-1, 8)):
             x, y = cell % w, cell // w
             for (dx, dy), s in zip(global_planner._NEIGHBORS, slots):
                 inside = 0 <= x - dx < w and 0 <= y - dy < h
                 assert s == ((y - dy) * w + x - dx if inside else cell)
-            assert (dst[cell] == cell).all()
-    assert _edge_layout(4, 3)[1] is _edge_layout(4, 3)[1]
+    assert _edge_layout(4, 3)[0] is _edge_layout(4, 3)[0]
 
 
 def test_dijkstra_sees_positive_weights_only(monkeypatch):

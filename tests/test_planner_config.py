@@ -21,7 +21,7 @@ def test_cfg_roundtrip_keeps_field_types(name, tmp_path):
 
 
 @pytest.mark.parametrize("text, line", [
-    ("n_poses 12\nouter_iterations 2.5\n", 2),   # int field given a float
+    ("n_poses 12\nmax_iterations 2.5\n", 2),     # int field given a float
     ("w_goal 1.0\n\nw_time fast\n", 3),          # not a number
     ("# comment\nno_such_key 1\n", 2),           # unknown key
 ])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from navbench.errors import PlanInputError
+from navbench.errors import PlanInputError, ValidationError
 from navbench.global_planner import GlobalPath
 from navbench.gridmap import (CellState, DistanceField, OccupancyGrid,
                               UnknownAs, distance_transform, sample_field)
@@ -137,7 +137,7 @@ def random_problem(rng, n_poses=6):
         cells[iy, ix] = CellState.OCCUPIED
     grid = grid.with_cells(cells)
     field = distance_transform(grid)
-    cfg = TebConfig(n_poses=n_poses, inner_iterations=5, outer_iterations=2)
+    cfg = TebConfig(n_poses=n_poses, max_iterations=10)
     p0 = (float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)),
           float(rng.uniform(-math.pi, math.pi)))
     goal = (float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)),
@@ -154,8 +154,8 @@ def random_problem(rng, n_poses=6):
 
 def test_jacobian_blocks_match_finite_differences(rng):
     h = 1e-6
-    for _ in range(25):
-        problem, z, _ = random_problem(rng)
+    for n_poses in [6] * 25 + [3] * 25:  # 3 poses: one acceleration row
+        problem, z, _ = random_problem(rng, n_poses)
         blocks = problem.residual_blocks(z, with_jacobian=True)
         for name, (r, J) in blocks.items():
             if len(r) == 0:
@@ -181,6 +181,18 @@ def test_optimizer_monotone_on_random_problems(rng):
         assert math.isfinite(obj)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert trace[-1] <= trace[0] + 1e-12
+
+
+def test_trace_holds_at_most_max_iterations_steps(rng):
+    for max_iterations in (1, 2, 10):
+        lengths = []
+        for _ in range(10):
+            problem, z, _ = random_problem(rng)
+            cfg = TebConfig(n_poses=problem.n, max_iterations=max_iterations)
+            lengths.append(len(optimize_band(problem, z, cfg)[3]))
+        assert max(lengths) == max_iterations + 1  # one entry per step, plus the start
+    with pytest.raises(ValidationError):
+        TebConfig(max_iterations=0)
 
 
 def test_dt_floor_respected(rng):
