@@ -261,8 +261,8 @@ def sample_field(field: DistanceField, xs, ys, *, with_gradient=False, floor=Tru
     fv = v - j0
     stride = w + 3
     base = (np.fmax(j0, 0.0) * stride + np.fmax(i0, 0.0)).astype(np.intp)
-    cells = [field._stencil.ravel().take(base + (j * stride + i))
-             for j in range(4) for i in range(4)]
+    flat = field._stencil.ravel()
+    cells = [flat[j * stride + i:].take(base) for j in range(4) for i in range(4)]
 
     wu = _catmull_rom_weights(fu)
     wv = _catmull_rom_weights(fv)

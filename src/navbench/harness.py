@@ -286,6 +286,8 @@ def run_suite(manifest_path, planners, cfg: TrialConfig, out_dir,
     from .report import write_group_tables
     from .svgplot import emit_trajectory_svg
 
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     entries = parse_suite(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     scenarios = [(group, load_scenario(path)) for group, path in entries]

@@ -15,7 +15,7 @@ from ..errors import PlanInputError, ValidationError
 from ..global_planner import GlobalPath
 from ..gridmap import DistanceField, OccupancyGrid, sample_field
 from ..robot import (KinematicLimits, RobotState, VelocityCommand,
-                     arc_step, clamp_command, wrap_angle)
+                     arc_terms, clamp_command, wrap_angle)
 
 
 class PlannerStatus(enum.Enum):
@@ -81,15 +81,32 @@ def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np
 
     Scalar (v, omega) give an (n_steps + 1, 4) array of (x, y, theta, t);
     arrays of shape S give S + (n_steps + 1, 4).
+
+    The chained `arc_step`s are running sums (`np.add.accumulate`, which adds
+    in order): headings from theta0 over the turns, positions from (x0, y0)
+    over the chord increments.  `wrap_angle` returns |theta| < pi unchanged,
+    so poses equal the chained steps bit for bit; a rollout with any heading,
+    theta0 included, at |theta| >= pi is redone wrapping after every step.
     """
     v, omega = np.broadcast_arrays(v, omega)
+    half, chord, turn = arc_terms(v, omega, dt)
     out = np.empty(v.shape + (n_steps + 1, 4))
     out[..., 3] = np.arange(n_steps + 1) * dt
-    pose = (state.x, state.y, state.theta)
-    out[..., 0, :3] = pose
-    for k in range(1, n_steps + 1):
-        pose = arc_step(*pose, v, omega, dt)
-        out[..., k, 0], out[..., k, 1], out[..., k, 2] = pose
+    th = out[..., 2]
+    th[..., 0] = state.theta
+    th[..., 1:] = turn[..., None]
+    np.add.accumulate(th, axis=-1, out=th)
+    redo = (np.abs(th) >= math.pi).any(axis=-1)
+    if redo.any():  # a 0-d mask indexes as one rollout
+        wrapped, turns = th[redo], np.broadcast_to(turn, redo.shape)[redo]
+        for k in range(1, n_steps + 1):
+            wrapped[:, k] = wrap_angle(wrapped[:, k - 1] + turns)
+        th[redo] = wrapped
+    for col, (start, trig) in enumerate(((state.x, np.cos), (state.y, np.sin))):
+        pos = out[..., col]
+        pos[..., 0] = start
+        pos[..., 1:] = chord[..., None] * trig(th[..., :-1] + half[..., None])
+        np.add.accumulate(pos, axis=-1, out=pos)
     return out
 
 
@@ -101,10 +118,9 @@ def rollout_for_scoring(req: LocalPlanRequest, v, omega, n_steps: int, dt: float
     traj = forward_simulate(req.robot, v, omega, n_steps, dt)
     d = np.hypot(traj[..., 0] - req.goal[0], traj[..., 1] - req.goal[1])
     k = np.argmin(d, axis=-1)
-    closer = np.take_along_axis(d, k[..., None], axis=-1)[..., 0] < d[..., -1]
-    end = np.where((k < n_steps) & closer, np.maximum(k, 1), n_steps)
-    held = np.minimum(np.arange(n_steps + 1), end[..., None])
-    return np.take_along_axis(traj, held[..., None], axis=-2), end
+    end = np.where((k < n_steps) & (d.min(axis=-1) < d[..., -1]), np.maximum(k, 1), n_steps)
+    held = np.take_along_axis(traj, end[..., None, None], axis=-2)
+    return np.where((np.arange(n_steps + 1) <= end[..., None])[..., None], traj, held), end
 
 
 def _trajectories(trajectory) -> np.ndarray:
@@ -124,10 +140,19 @@ def trajectory_min_clearance(trajectory, req: LocalPlanRequest):
     return _per_trajectory(np.min(vals, axis=-1))
 
 
-# Applied per element: np.arctan2 and np.hypot round differently from math
-# on a fraction of inputs, and the scores must match the scalar formulas.
-_atan2 = np.vectorize(math.atan2, otypes=[np.float64])
-_hypot = np.vectorize(math.hypot, otypes=[np.float64])
+# math.atan2/math.hypot mapped over the broadcast inputs as Python floats, to a
+# float64 array (0-d for scalars): np.arctan2 and np.hypot round differently
+# from math on a fraction of inputs, and the scores must match scalar formulas.
+def _elementwise(fn):
+    def apply(a, b):
+        a, b = np.broadcast_arrays(a, b)
+        return np.fromiter(map(fn, a.ravel().tolist(), b.ravel().tolist()),
+                           np.float64, a.size).reshape(a.shape)
+    return apply
+
+
+_atan2 = _elementwise(math.atan2)
+_hypot = _elementwise(math.hypot)
 
 
 def _bearing(req: LocalPlanRequest, x, y):

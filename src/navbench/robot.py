@@ -85,18 +85,27 @@ def clamp_command(desired: VelocityCommand, prev: VelocityCommand,
     return VelocityCommand(v, w)
 
 
-def arc_step(x, y, theta, v, w, dt: float):
-    """Advance poses one exact constant-twist arc step, elementwise over floats
-    or equal-shape arrays.  The half-angle form v*dt*sinc(w*dt/2)*[cos|sin](
-    theta + w*dt/2) equals (v/w)*(sin(theta+w*dt) - sin(theta)) without the
-    catastrophic cancellation that form suffers at small |w|."""
+def arc_terms(v, w, dt: float):
+    """(half, chord, turn) of one exact constant-twist arc step, elementwise:
+    half = w*dt/2, chord = v*dt*sinc(half), turn = w*dt.  A step moves the
+    pose by chord along theta + half and turns it by turn; `arc_step` applies
+    it once, `forward_simulate` along a whole rollout, so both share this one
+    formula.  The half-angle form equals (v/w)*(sin(theta+w*dt) - sin(theta))
+    without the catastrophic cancellation that form suffers at small |w|."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     half = 0.5 * w * dt
     small = np.abs(half) < 1e-12
     sinc = np.where(small, 1.0, np.sin(half) / np.where(small, 1.0, half))
-    return (x + v * dt * sinc * np.cos(theta + half),
-            y + v * dt * sinc * np.sin(theta + half), wrap_angle(theta + w * dt))
+    return half, v * dt * sinc, w * dt
+
+
+def arc_step(x, y, theta, v, w, dt: float):
+    """Advance poses one `arc_terms` step, elementwise over floats or
+    equal-shape arrays; the heading is wrapped."""
+    half, chord, turn = arc_terms(v, w, dt)
+    return (x + chord * np.cos(theta + half), y + chord * np.sin(theta + half),
+            wrap_angle(theta + turn))
 
 
 def step(state: RobotState, cmd: VelocityCommand, dt: float) -> RobotState:

@@ -127,6 +127,8 @@ def build_default_suite(root, seed: int = 0, pairs_per_scene: int = 3) -> str:
     """Write the generated benchmark suite under root; returns the manifest
     path.  Groups: static (five archetypes), partially_unknown (masked
     office), dynamic (office walkers + open-space crowd)."""
+    if pairs_per_scene < 1:
+        raise ValidationError(f"pairs per scene must be at least 1, got {pairs_per_scene}")
     os.makedirs(root, exist_ok=True)
 
     office = generate_world("office", WorldParams(16.0, 12.0, passage_width=1.0, clutter=6),

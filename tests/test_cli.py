@@ -1,5 +1,7 @@
 """`bench` end to end: make-suite, run, report, and a missing input file."""
 
+import pytest
+
 from navbench import cli
 
 
@@ -31,3 +33,22 @@ def test_missing_suite_is_an_error_not_a_traceback(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_make_suite_without_pairs_is_an_error(tmp_path, capsys, pairs):
+    suite_dir = tmp_path / "suite"
+    assert cli.main(["make-suite", "--pairs", pairs, "--seed", "0",
+                     "--out", str(suite_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not suite_dir.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_without_workers_is_an_error(tmp_path, capsys, jobs):
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--suite", str(tmp_path / "any.suite"), "--planner", "dwa",
+                     "--jobs", jobs, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "jobs" in err
+    assert not out_dir.exists()
