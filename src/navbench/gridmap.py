@@ -531,4 +531,7 @@ def load_grid(path) -> OccupancyGrid:
             if state is None:
                 raise ParseError(f"unknown cell character {ch!r}", path=path, line=2 + iy)
             cells[iy, ix] = state
+    for ln, row in enumerate(lines[1 + h:], start=2 + h):
+        if row.strip():
+            raise ParseError(f"row beyond the header's {h} rows", path=path, line=ln)
     return OccupancyGrid(w, h, res, origin, cells)

@@ -4,7 +4,8 @@ The band is a sequence of poses with per-segment time deltas.  A penalty
 least-squares objective trades off total time, obstacle clearance, kinematic
 limits, the nonholonomic rolling constraint, and goal attraction; it is
 minimized with damped Gauss-Newton steps that are only accepted when the
-objective does not increase.
+objective does not increase.  Every evaluation of a band returns its
+residuals and their analytic Jacobian together.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class TebConfig:
 
 
 class BandProblem:
-    """Residual blocks and analytic Jacobians for one band optimization.
+    """Residual blocks and analytic Jacobians for one band optimization;
+    `residuals_and_jacobian(z)` is the one evaluation of a band.
 
     State vector: [x_1, y_1, th_1, ..., x_{n-1}, y_{n-1}, th_{n-1},
     dt_0, ..., dt_{n-2}]; pose 0 is pinned to the robot pose.
@@ -137,36 +139,30 @@ class BandProblem:
     def _rate_hinge(self, rate, limit, dts, dirs):
         """sqrt(w_velocity) * max(0, rate_k - limit) for a per-segment rate
         |change_k| / dt_k.  `dirs` holds (var, u) pairs, u_k being the
-        partial of |change_k| by var of pose k+1 (of pose k: -u_k); it is
-        None on the residual-only path."""
+        partial of |change_k| by var of pose k+1 (of pose k: -u_k)."""
         sw = self.sq["velocity"]
         over = rate - limit
         act = over > 0
-        r = sw * np.where(act, over, 0.0)
-        if dirs is None:
-            return r, None
         coef = np.where(act, sw / dts, 0.0)
         terms = [(self.seg, DT, np.where(act, -sw * rate / dts, 0.0))]
         for var, u in dirs:
             terms += [(self.nxt, var, coef * u), (self.seg, var, -(coef * u))]
-        return r, (self.seg, terms)
+        return sw * np.where(act, over, 0.0), (self.seg, terms)
 
     def _rate_change_hinge(self, q, limit, dts, dq):
         """sqrt(w_acceleration) * max(0, |a_k| - limit) for the change of a
         per-segment rate q, a_k = (q_{k+1} - q_k) / tau_k with tau_k the mean
         of dt_k and dt_{k+1}.  `dq(c, s)` returns (var, c * dq_s / d var of
-        pose s+1) pairs (of pose s: the negatives); it is None on the
-        residual-only path.  Only active rows get terms."""
+        pose s+1) pairs (of pose s: the negatives).  Only active rows get
+        terms."""
         sw = self.sq["acceleration"]
         tau = 0.5 * (dts[:-1] + dts[1:])
         a = (q[1:] - q[:-1]) / tau
         over = np.abs(a) - limit
         act = over > 0
         r = sw * np.where(act, over, 0.0)
-        if dq is None:
-            return r, None
         k = np.flatnonzero(act)
-        if len(k) == 0:
+        if len(k) == 0:  # the usual case; empty terms cost about 5% of optimize_band
             return r, (k, [])
         c = sw * np.sign(a[k]) / tau[k]
         # d a / d dt_k = (q_k / dt_k) / tau - a / (2 tau), and likewise dt_{k+1}
@@ -176,70 +172,60 @@ class BandProblem:
             terms += [(k, var, d0), (k + 1, var, -d1 - d0), (k + 2, var, d1)]
         return r, (k, terms)
 
-    # -- residual blocks: (r, (rows, terms)), or (r, None) without partials --
+    # -- residual blocks: (r, (rows, terms)) ---------------------------------
 
-    def block_time(self, g, with_j):
-        r = self.sq["time"] * g["dts"]
-        return r, (self.seg, [(self.seg, DT, self.sq["time"])]) if with_j else None
+    def block_time(self, g):
+        return self.sq["time"] * g["dts"], (self.seg, [(self.seg, DT, self.sq["time"])])
 
-    def block_obstacle(self, g, with_j):
+    def block_obstacle(self, g):
         # The field is signed (negative inside obstacles) so penetrated poses
         # still feel an outward push.
-        xs, ys = g["xs"][1:], g["ys"][1:]
         sw = self.sq["obstacle"]
-        if with_j:
-            d, gx, gy = sample_field(self.field, xs, ys, with_gradient=True, floor=False)
-        else:
-            d = sample_field(self.field, xs, ys, floor=False)
+        d, gx, gy = sample_field(self.field, g["xs"][1:], g["ys"][1:],
+                                 with_gradient=True, floor=False)
         h = self.cfg.d_min - d
         act = h > 0
-        r = sw * np.where(act, h, 0.0)
-        if not with_j:
-            return r, None
-        return r, (self.seg, [(self.nxt, X, np.where(act, -sw * gx, 0.0)),
-                              (self.nxt, Y, np.where(act, -sw * gy, 0.0))])
+        return sw * np.where(act, h, 0.0), (self.seg, [
+            (self.nxt, X, np.where(act, -sw * gx, 0.0)),
+            (self.nxt, Y, np.where(act, -sw * gy, 0.0))])
 
-    def block_velocity(self, g, with_j):
-        dirs = ((X, g["ux"]), (Y, g["uy"])) if with_j else None
+    def block_velocity(self, g):
+        dirs = ((X, g["ux"]), (Y, g["uy"]))
         return self._rate_hinge(g["length"] / g["dts"], self.limits.v_max, g["dts"], dirs)
 
-    def block_angular_velocity(self, g, with_j):
-        dirs = ((TH, np.sign(g["omega"])),) if with_j else None
+    def block_angular_velocity(self, g):
+        dirs = ((TH, np.sign(g["omega"])),)
         return self._rate_hinge(np.abs(g["omega"]), self.limits.omega_max, g["dts"], dirs)
 
-    def block_acceleration(self, g, with_j):
-        dq = None
-        if with_j:  # dv_s / d(x, y) of pose s+1 is the signed unit chord over dt_s
-            dvx = g["ux"] * g["sign_v"] / g["dts"]
-            dvy = g["uy"] * g["sign_v"] / g["dts"]
+    def block_acceleration(self, g):
+        # dv_s / d(x, y) of pose s+1 is the signed unit chord over dt_s
+        dvx = g["ux"] * g["sign_v"] / g["dts"]
+        dvy = g["uy"] * g["sign_v"] / g["dts"]
 
-            def dq(c, s):
-                return (X, c * dvx[s]), (Y, c * dvy[s])
+        def dq(c, s):
+            return (X, c * dvx[s]), (Y, c * dvy[s])
         return self._rate_change_hinge(g["v"], self.limits.a_max, g["dts"], dq)
 
-    def block_angular_acceleration(self, g, with_j):
+    def block_angular_acceleration(self, g):
         # omega_s = wrap(th_{s+1} - th_s) / dt_s
-        dq = (lambda c, s: ((TH, c / g["dts"][s]),)) if with_j else None
-        return self._rate_change_hinge(g["omega"], self.limits.alpha_max, g["dts"], dq)
+        return self._rate_change_hinge(g["omega"], self.limits.alpha_max, g["dts"],
+                                       lambda c, s: ((TH, c / g["dts"][s]),))
 
-    def block_nonholonomic(self, g, with_j):
+    def block_nonholonomic(self, g):
         sw = self.sq["nonholonomic"]
         ths, cx, cy, cos_s, sin_s = g["ths"], g["cx"], g["cy"], g["cos_s"], g["sin_s"]
-        r = sw * (cos_s * cy - sin_s * cx)
-        if not with_j:
-            return r, None
-        return r, (self.seg, [
+        return sw * (cos_s * cy - sin_s * cx), (self.seg, [
             (self.nxt, X, -sw * sin_s), (self.nxt, Y, sw * cos_s),
             (self.nxt, TH, sw * (-np.sin(ths[1:]) * cy - np.cos(ths[1:]) * cx)),
             (self.seg, X, sw * sin_s), (self.seg, Y, -sw * cos_s),
             (self.seg, TH, sw * (-np.sin(ths[:-1]) * cy - np.cos(ths[:-1]) * cx))])
 
-    def block_goal(self, g, with_j):
+    def block_goal(self, g):
         sw = self.sq["goal"]
         gx, gy, gth = self.goal
         r = sw * np.array([g["xs"][-1] - gx, g["ys"][-1] - gy,
                            wrap_angle(g["ths"][-1] - gth)])
-        return r, (self.xyz, [(self.n - 1, self.xyz, sw)]) if with_j else None
+        return r, (self.xyz, [(self.n - 1, self.xyz, sw)])
 
     # -- assembly ----------------------------------------------------------
 
@@ -249,48 +235,46 @@ class BandProblem:
             J[rows, self.cols[pose, var]] = values
         return J[:, 3:]
 
-    def residual_blocks(self, z, with_jacobian=False):
+    def residual_blocks(self, z):
+        """{name: (r, J)} for every block, in stacking order."""
         g = self._geometry(z)
-        if with_jacobian:  # unit chord of each segment, zero where its poses coincide
-            long = g["length"] > 1e-12
-            L = np.where(long, g["length"], 1.0)
-            g["ux"] = np.where(long, g["cx"] / L, 0.0)
-            g["uy"] = np.where(long, g["cy"] / L, 0.0)
+        # unit chord of each segment, zero where its poses coincide
+        long = g["length"] > 1e-12
+        L = np.where(long, g["length"], 1.0)
+        g["ux"] = np.where(long, g["cx"] / L, 0.0)
+        g["uy"] = np.where(long, g["cy"] / L, 0.0)
         blocks = {}
         for name in self.BLOCKS:
-            r, partials = getattr(self, f"block_{name}")(g, with_jacobian)
-            blocks[name] = (r, None if partials is None
-                            else self._jacobian(len(r), *partials))
+            r, partials = getattr(self, f"block_{name}")(g)
+            blocks[name] = (r, self._jacobian(len(r), *partials))
         return blocks
 
     def residuals_and_jacobian(self, z):
-        blocks = self.residual_blocks(z, with_jacobian=True)
+        blocks = self.residual_blocks(z)
         r = np.concatenate([blocks[name][0] for name in self.BLOCKS])
         J = np.vstack([blocks[name][1] for name in self.BLOCKS])
         return r, J
-
-    def objective(self, z) -> float:
-        blocks = self.residual_blocks(z)
-        r = np.concatenate([blocks[name][0] for name in self.BLOCKS])
-        return float(r @ r)
 
 
 def optimize_band(problem: BandProblem, z0: np.ndarray, cfg: TebConfig):
     """Damped Gauss-Newton with objective-decrease acceptance.
 
-    Returns (z, objective, evaluations, trace); the trace holds the objective
-    after every accepted step and is non-increasing by construction.  It
-    stops after `cfg.max_iterations` steps, when no damping gives a step
-    that does not raise the objective, or when a step gains almost nothing.
+    Each band is evaluated once, residuals and Jacobian together: the start
+    band, then every candidate step.  An accepted candidate's r and J carry
+    over to the next step.  Returns (z, objective, evaluations, trace); the
+    trace holds the objective after every accepted step and is
+    non-increasing by construction.  It stops after `cfg.max_iterations`
+    steps, when no damping gives a step that does not raise the objective,
+    or when a step gains almost nothing.
     """
     z = problem.project(z0)
-    obj = problem.objective(z)
+    r, J = problem.residuals_and_jacobian(z)
+    obj = float(r @ r)
     trace = [obj]
     lam = 1e-4
     evals = 1
     eye = np.eye(problem.nv)
     for _ in range(cfg.max_iterations):
-        r, J = problem.residuals_and_jacobian(z)
         grad = J.T @ r
         H = J.T @ J
         improvement = None
@@ -302,11 +286,11 @@ def optimize_band(problem: BandProblem, z0: np.ndarray, cfg: TebConfig):
                 lam *= 10.0
                 continue
             z_new = problem.project(z + dz)
-            obj_new = problem.objective(z_new)
+            r_new, J_new = problem.residuals_and_jacobian(z_new)
+            obj_new = float(r_new @ r_new)
             if math.isfinite(obj_new) and obj_new <= obj:
                 improvement = obj - obj_new
-                z = z_new
-                obj = obj_new
+                z, r, J, obj = z_new, r_new, J_new, obj_new
                 trace.append(obj)
                 lam = max(lam / 3.0, 1e-12)
                 break

@@ -209,6 +209,7 @@ def load_scenario(path, radius: float = 0.17) -> Scenario:
     pairs = []
     agents = []
     scan = ScanSpec()
+    seen = set()  # the keys that may appear only once
 
     def fail(msg, ln):
         raise ParseError(msg, path=path, line=ln)
@@ -219,6 +220,10 @@ def load_scenario(path, radius: float = 0.17) -> Scenario:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in ("name", "map", "scan"):
+            if key in seen:
+                fail(f"scene key {key!r} given twice", ln)
+            seen.add(key)
         try:
             if key == "name":
                 name = rest

@@ -1,8 +1,10 @@
-"""`bench` end to end: make-suite, run, report, and a missing input file."""
+"""`bench` end to end: make-suite, run, report, validate, and malformed inputs."""
 
 import pytest
 
 from navbench import cli
+from navbench.world import Scenario, save_scenario
+from navbench.worldgen import WorldParams, generate_world
 
 
 def test_make_suite_run_report_end_to_end(tmp_path, capsys):
@@ -52,3 +54,23 @@ def test_run_without_workers_is_an_error(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "jobs" in err
     assert not out_dir.exists()
+
+
+
+@pytest.mark.parametrize("key, value", [("name", "again"), ("map", "demo.grid"),
+                                        ("scan", "-90 90 1 0.05 8")])
+def test_validate_rejects_a_repeated_singleton_key(tmp_path, capsys, key, value):
+    g = generate_world("open_room", WorldParams(6.0, 5.0), 0)
+    path = tmp_path / "demo.scene"
+    save_scenario(Scenario(name="demo", map=g, prior_map=g,
+                           start_goal_pairs=(((1.0, 1.0, 0.0), (5.0, 4.0, 0.0)),)),
+                  path)
+    lines = path.read_text().splitlines() + ["scan -90 90 1 0.05 8"]
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["validate", "--scene", str(path)]) == 0  # each key once: fine
+    # pair (like mask and agent) may repeat; the singleton's second line may not
+    path.write_text("\n".join(lines + ["pair 1 1 0 5 4 0", f"{key} {value}"]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["validate", "--scene", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{len(lines) + 2}: ") and repr(key) in err

@@ -395,6 +395,17 @@ def test_grid_file_rejects_ragged(tmp_path):
     assert err.value.line == 3
 
 
+def test_grid_file_rejects_extra_rows(tmp_path):
+    path = tmp_path / "extra.grid"
+    path.write_text("grid 3 2 0.1 0 0\n...\n...\n\n")
+    assert load_grid(path).height == 2  # trailing blank lines are fine
+    for extra in ("...", "#"):  # a full row, and a row of the wrong width
+        path.write_text(f"grid 3 2 0.1 0 0\n...\n...\n\n{extra}\n")
+        with pytest.raises(ParseError) as err:
+            load_grid(path)
+        assert err.value.path == path and err.value.line == 5
+
+
 def test_grid_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.grid"
     path.write_text("grid 3 x 0.1 0 0\n")

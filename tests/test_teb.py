@@ -9,6 +9,7 @@ from navbench.gridmap import (CellState, DistanceField, OccupancyGrid,
                               UnknownAs, distance_transform, sample_field)
 from navbench.local_planners import (LocalPlanRequest, PlannerStatus, TebConfig,
                                      teb_plan)
+from navbench.local_planners import teb
 from navbench.local_planners.teb import BandProblem, optimize_band
 from navbench.robot import KinematicLimits, RobotState
 
@@ -156,7 +157,7 @@ def test_jacobian_blocks_match_finite_differences(rng):
     h = 1e-6
     for n_poses in [6] * 25 + [3] * 25:  # 3 poses: one acceleration row
         problem, z, _ = random_problem(rng, n_poses)
-        blocks = problem.residual_blocks(z, with_jacobian=True)
+        blocks = problem.residual_blocks(z)
         for name, (r, J) in blocks.items():
             if len(r) == 0:
                 continue
@@ -164,10 +165,10 @@ def test_jacobian_blocks_match_finite_differences(rng):
             for col in range(problem.nv):
                 zp = z.copy()
                 zp[col] += h
-                rp = problem.residual_blocks(zp, with_jacobian=False)[name][0]
+                rp = problem.residual_blocks(zp)[name][0]
                 zm = z.copy()
                 zm[col] -= h
-                rm = problem.residual_blocks(zm, with_jacobian=False)[name][0]
+                rm = problem.residual_blocks(zm)[name][0]
                 J_fd[:, col] = (rp - rm) / (2 * h)
             scale = max(1.0, float(np.abs(J_fd).max()))
             err = float(np.abs(J - J_fd).max())
@@ -200,3 +201,119 @@ def test_dt_floor_respected(rng):
     z_opt, _, _, _ = optimize_band(problem, z, cfg)
     dts = problem.unpack(z_opt)[3]
     assert (dts >= 0.01 - 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per band
+
+
+def two_pass_optimize_band(problem, z0, cfg):
+    """Reference optimizer that evaluates bands twice: candidates are scored
+    by their objective alone, and every step evaluates its start band again
+    for r and J.  `optimize_band` must reproduce its iterates bit for bit."""
+    def objective(z):
+        r = problem.residuals_and_jacobian(z)[0]
+        return float(r @ r)
+
+    z = problem.project(z0)
+    obj = objective(z)
+    trace = [obj]
+    lam = 1e-4
+    evals = 1
+    eye = np.eye(problem.nv)
+    for _ in range(cfg.max_iterations):
+        r, J = problem.residuals_and_jacobian(z)
+        grad = J.T @ r
+        H = J.T @ J
+        improvement = None
+        for _ in range(8):
+            evals += 1
+            try:
+                dz = np.linalg.solve(H + lam * eye, -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            z_new = problem.project(z + dz)
+            obj_new = objective(z_new)
+            if math.isfinite(obj_new) and obj_new <= obj:
+                improvement = obj - obj_new
+                z = z_new
+                obj = obj_new
+                trace.append(obj)
+                lam = max(lam / 3.0, 1e-12)
+                break
+            lam *= 10.0
+        if improvement is None or improvement <= 1e-10 * max(1.0, obj):
+            break
+    return z, obj, evals, trace
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_optimizer_matches_two_pass_loop_bit_for_bit(rng):
+    rejected = 0
+    for n_poses in [3, 6, 30] * 15:
+        problem, z0, cfg = random_problem(rng, n_poses)
+        z, obj, evals, trace = optimize_band(problem, z0, cfg)
+        z_ref, obj_ref, evals_ref, trace_ref = two_pass_optimize_band(problem, z0, cfg)
+        assert bits(z) == bits(z_ref) and bits(obj) == bits(obj_ref)
+        assert evals == evals_ref and bits(trace) == bits(trace_ref)
+        rejected += evals - len(trace)  # candidate tries that were not accepted
+    assert rejected > 0  # the draws exercise rejected steps too
+
+
+def random_local_request(rng):
+    """A 55x55 local map with random obstacles, none within 0.5 m of the robot."""
+    grid = OccupancyGrid.full_free(55, 55, 0.1)
+    robot = RobotState(float(rng.uniform(1.0, 4.5)), float(rng.uniform(1.0, 4.5)),
+                       float(rng.uniform(-math.pi, math.pi)))
+    cells = np.array(grid.cells)
+    for _ in range(int(rng.integers(5, 40))):
+        ix, iy = rng.integers(0, 55, size=2)
+        px, py = grid.cell_center(ix, iy)
+        if math.hypot(px - robot.x, py - robot.y) > 0.5:
+            cells[iy, ix] = CellState.OCCUPIED
+    grid = grid.with_cells(cells)
+    gx, gy = (float(v) for v in rng.uniform(0.5, 5.0, size=2))
+    ref = GlobalPath(((robot.x, robot.y), (gx, gy)), math.hypot(gx - robot.x, gy - robot.y))
+    field = distance_transform(grid, UnknownAs.OCCUPIED)
+    return LocalPlanRequest(grid, field, robot, ref, (gx, gy, 0.0), LIMITS, 0.2)
+
+
+def test_teb_plan_matches_two_pass_loop_bit_for_bit(rng, monkeypatch):
+    requests = [empty_request(), disc_request()] + [random_local_request(rng)
+                                                    for _ in range(8)]
+    cfg = TebConfig()
+    outs = [teb_plan(req, cfg) for req in requests]
+    monkeypatch.setattr(teb, "optimize_band", two_pass_optimize_band)
+    for req, out in zip(requests, outs):
+        ref = teb_plan(req, cfg)
+        assert out.status is ref.status and out.iterations == ref.iterations
+        assert bits([out.cmd.v, out.cmd.omega]) == bits([ref.cmd.v, ref.cmd.omega])
+        assert bits(out.trajectory) == bits(ref.trajectory)
+        assert bits(out.objective_trace) == bits(ref.objective_trace)
+    assert sum(out.status is PlannerStatus.OK for out in outs) >= 5
+
+
+def test_optimizer_evaluates_each_band_once(rng, monkeypatch):
+    calls = {"residuals_and_jacobian": 0, "project": 0}
+
+    def counted(name):
+        method = getattr(BandProblem, name)
+
+        def wrapper(self, z):
+            calls[name] += 1
+            return method(self, z)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(BandProblem, name, counted(name))
+    for n_poses in (3, 6, 30):
+        for _ in range(5):
+            problem, z0, cfg = random_problem(rng, n_poses)
+            calls.update(residuals_and_jacobian=0, project=0)
+            _, _, evals, _ = optimize_band(problem, z0, cfg)
+            # project runs on the start band and on every candidate step
+            assert calls["residuals_and_jacobian"] == calls["project"] <= evals
