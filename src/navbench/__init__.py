@@ -21,7 +21,7 @@ from .metrics import (LogRecord, MetricsConfig, MetricsReport, NavLog, Outcome,
                       path_length, safety_exposure, safety_min_distance,
                       smoothness_path, smoothness_velocity)
 from .robot import (KinematicLimits, RobotState, VelocityCommand,
-                    clamp_command, collision_check, step, wrap_angle)
+                    clamp_command, step, wrap_angle)
 from .suitegen import build_default_suite
 from .world import DynamicAgent, Scenario, load_scenario, save_scenario, \
     stamp_agents, step_agents

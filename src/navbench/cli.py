@@ -78,6 +78,8 @@ def main(argv=None) -> int:
             for p in planners:
                 if p not in PLANNERS:
                     raise BenchError(f"unknown planner {p!r}")
+            if not planners or len(set(planners)) != len(planners):
+                raise BenchError(f"--planner {args.planner!r} must list planners, each once")
             suite = run_suite(args.suite, planners, _trial_cfg(args), args.out,
                               jobs=args.jobs, svg=args.svg,
                               planner_cfgs=_planner_cfgs(args))

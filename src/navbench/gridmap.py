@@ -2,7 +2,8 @@
 
 Grids are immutable value objects; every operation returns a new grid.
 World coordinates are meters, cell (0, 0) sits at the grid origin corner and
-row 0 is the minimum-y row.
+row 0 is the minimum-y row.  A scan is marched once, by `raycast`; it carries
+the cells its beams crossed and stopped in, and `integrate_scan` fuses those.
 """
 
 from __future__ import annotations
@@ -160,8 +161,12 @@ def beam_count(spec: ScanSpec) -> int:
 
 @dataclass(frozen=True)
 class LaserScan:
+    """One lidar scan, read-only, with its march's cells on the grid it was cast on."""
+
     spec: ScanSpec
     ranges: np.ndarray  # one range per beam, beam k at angle_min + k * angle_increment
+    seen: np.ndarray  # (height, width) bool: cells the beams crossed, hit cells included
+    hit: np.ndarray  # (height, width) bool: cells the beams stopped in
 
     def __post_init__(self):
         r = np.asarray(self.ranges, dtype=np.float64)
@@ -172,9 +177,10 @@ class LaserScan:
         if finite.size and (finite.min() < self.spec.range_min - 1e-9
                             or finite.max() > self.spec.range_max + 1e-9):
             raise ValidationError("scan ranges outside [range_min, range_max]")
-        r = r.copy()
-        r.setflags(write=False)
-        object.__setattr__(self, "ranges", r)
+        for name, arr in (("ranges", r.copy()), ("seen", np.array(self.seen, dtype=bool)),
+                          ("hit", np.array(self.hit, dtype=bool))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +333,7 @@ def _march(grid: GridGeometry, px, py, dx, dy, t_stop, blocking):
     >= t_stop (a scalar or one value per ray), or when it meets a cell set in
     `blocking` (a (height, width) bool mask, or None).  Returns the entry
     distance of each ray's blocking cell (+inf where it met none) and the
-    (height, width) mask of the cells the rays traversed.
+    (height, width) mask of the cells the rays traversed, blocking cells included.
 
     Cells are coded 0 (open), 2 (blocking) or 1 (stop) in a copy with a ring
     of 1s, so leaving the grid is one lookup; rays step flat indices, x first
@@ -390,6 +396,8 @@ def raycast(world: OccupancyGrid, pose, spec: ScanSpec = ScanSpec()) -> LaserSca
     Beams march cell crossings exactly; the entry distance into the first
     occupied cell is the hit range.  Unknown cells do not block beams.  Beams
     that exit the grid or exceed range_max report the max-range sentinel.
+    The scan keeps the march's cells: `seen`, and `hit` = `seen` & Occupied,
+    since a beam enters an Occupied cell only to stop there.
     """
     x, y, theta = pose
     if not world.contains(x, y):
@@ -399,55 +407,21 @@ def raycast(world: OccupancyGrid, pose, spec: ScanSpec = ScanSpec()) -> LaserSca
     dy = np.sin(ang)
     px = x + spec.range_min * dx
     py = y + spec.range_min * dy
-    t_hit, _ = _march(world, px, py, dx, dy, spec.range_max - spec.range_min,
-                      world.cells == CellState.OCCUPIED)
+    occupied = world.cells == CellState.OCCUPIED
+    t_hit, seen = _march(world, px, py, dx, dy, spec.range_max - spec.range_min, occupied)
     ranges = np.where(np.isfinite(t_hit), spec.range_min + t_hit, spec.range_max)
-    return LaserScan(spec, ranges)
+    return LaserScan(spec, ranges, seen, seen & occupied)
 
 
-def integrate_scan(known: OccupancyGrid, pose, scan: LaserScan) -> OccupancyGrid:
-    """Fuse a scan into the map: carve traversed cells Free, mark hit cells
-    Occupied.  Cells already Occupied in `known` are never demoted.  Carving
-    changes only Unknown cells, so only rays whose start-to-range cell box,
-    widened by one cell against rounding in the march, meets the Unknown
-    cells' box are marched (none if no cell is Unknown)."""
-    x, y, theta = pose
-    spec = scan.spec
-    res = known.resolution
-    ox, oy = known.origin
-    eps = res * 1e-6
-    # Parenthesized as written: this rounds differently from raycast's angles.
-    ang = theta + (spec.angle_min + spec.angle_increment * np.arange(len(scan.ranges)))
-    dx = np.cos(ang)
-    dy = np.sin(ang)
-    px = x + spec.range_min * dx
-    py = y + spec.range_min * dy
-
-    r = np.asarray(scan.ranges)
-    has_hit = r < spec.range_max - 1e-9
-    t_lim = np.minimum(r, spec.range_max) - spec.range_min
-
+def integrate_scan(known: OccupancyGrid, scan: LaserScan) -> OccupancyGrid:
+    """Fuse a scan into `known`, which must share the grid the scan was cast
+    on: Unknown cells the beams crossed become Free, and the cells they
+    stopped in become Occupied.  Occupied cells are never demoted."""
+    if not scan.seen.shape == scan.hit.shape == known.cells.shape:
+        raise ValidationError(f"scan masks do not match the grid's {known.cells.shape}")
     new = np.array(known.cells)
-    unknown = new == CellState.UNKNOWN
-    if unknown.any():
-        cols, rows = (np.flatnonzero(unknown.any(axis=a)) for a in (0, 1))
-        ix = np.floor((px - ox) / res), np.floor((px + t_lim * dx - ox) / res)
-        iy = np.floor((py - oy) / res), np.floor((py + t_lim * dy - oy) / res)
-        reach = ((np.minimum(*ix) <= cols[-1] + 1) & (np.maximum(*ix) >= cols[0] - 1)
-                 & (np.minimum(*iy) <= rows[-1] + 1) & (np.maximum(*iy) >= rows[0] - 1))
-        _, carve = _march(known, px[reach], py[reach], dx[reach], dy[reach],
-                          t_lim[reach] - eps, None)
-        new[carve & unknown] = CellState.FREE
-
-    if has_hit.any():
-        # Endpoint cell: nudge past the entry crossing so floor() lands inside.
-        ex = x + (r[has_hit] + eps) * dx[has_hit]
-        ey = y + (r[has_hit] + eps) * dy[has_hit]
-        exi = np.floor((ex - ox) / res).astype(np.int64)
-        eyi = np.floor((ey - oy) / res).astype(np.int64)
-        ok = (exi >= 0) & (exi < known.width) & (eyi >= 0) & (eyi < known.height)
-        new[eyi[ok], exi[ok]] = CellState.OCCUPIED
-
+    new[scan.seen & (new == CellState.UNKNOWN)] = CellState.FREE
+    new[scan.hit] = CellState.OCCUPIED
     return known.with_cells(new)
 
 

@@ -1,10 +1,10 @@
 """Closed-loop trial runner and suite orchestration.
 
-Each control tick: sense (raycast + scan fusion), stamp agents, refresh the
-distance fields (the sensed field is rebuilt only when the tick map's cells
-changed; with agents it is also the ground-truth field while the sensed map
-equals the truth), refresh the global reference, call the local planner,
-clamp the command, integrate physics in sub-steps, and append one log record.
+Each control tick: sense (one raycast; its march's cells update the sensed
+map), stamp agents, refresh the distance fields (the sensed field is rebuilt
+only when the tick map changed; with agents it is also the ground-truth field
+while the sensed map equals the truth), refresh the global reference, plan
+locally, clamp the command, integrate physics in sub-steps, and log one record.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
     truth = scenario.map
     sensed = scenario.prior_map
     static_truth_field = distance_transform(truth, UnknownAs.FREE)
-    same_frame = (sensed.resolution, sensed.origin) == (truth.resolution, truth.origin)
     replan_every_tick = scenario.has_unknown_prior or bool(agents)
 
     records = []
@@ -130,15 +129,15 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
             outcome = Outcome.TIMEOUT
             break
 
-        # sense: map-building scans are cast against the static truth; agents
-        # enter the planning grids through per-tick stamping only.
+        # sense: map-building scans are cast against the static truth, in the
+        # prior's frame; agents enter the planning grids through stamping only.
         scan = raycast(truth, robot.pose(), scenario.scan_spec)
-        sensed = integrate_scan(sensed, robot.pose(), scan)
+        sensed = integrate_scan(sensed, scan)
         tick_map = stamp_agents(sensed, agents)
         if field_map is None or not array_equal(tick_map.cells, field_map.cells):
             sensed_field = distance_transform(tick_map, UnknownAs.FREE)
             field_map = tick_map
-        if agents and same_frame and array_equal(sensed.cells, truth.cells):
+        if agents and array_equal(sensed.cells, truth.cells):
             truth_field = sensed_field  # stamped truth == tick_map, its source
         elif agents:
             truth_field = distance_transform(stamp_agents(truth, agents), UnknownAs.FREE)

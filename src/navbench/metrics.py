@@ -218,6 +218,7 @@ def write_log_csv(log: NavLog, path, metadata: dict | None = None) -> None:
 
 
 def read_log_csv(path) -> tuple[NavLog, dict]:
+    """Read a `write_log_csv` file; it must name a valid outcome and an integer pair, if any."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("t,x,y"):
@@ -242,5 +243,8 @@ def read_log_csv(path) -> tuple[NavLog, dict]:
             raise ParseError(str(exc), path=path, line=ln)
         d_true = vals[8] if len(vals) == 9 else None
         records.append(LogRecord(*vals[:8], d_true=d_true))
-    outcome = Outcome(meta.get("outcome", "success"))
+    try:
+        outcome, _ = Outcome(meta.get("outcome")), int(meta.get("pair", 0))
+    except ValueError as exc:
+        raise ParseError(f"bad or missing '# outcome:', or bad '# pair:': {exc}", path=path)
     return NavLog(tuple(records), outcome), meta

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridmap import DistanceField, distance_at
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -113,10 +111,3 @@ def step(state: RobotState, cmd: VelocityCommand, dt: float) -> RobotState:
     x, y, theta = arc_step(state.x, state.y, state.theta, cmd.v, cmd.omega, dt)
     return RobotState(float(x), float(y), theta, cmd.v, cmd.omega)
 
-
-def collision_check(state: RobotState, field: DistanceField, radius: float) -> bool:
-    """True iff the circular footprint overlaps an obstacle (center distance
-    below radius).  Poses outside the field count as collision."""
-    if not field.contains(state.x, state.y):
-        return True
-    return distance_at(field, state.x, state.y) < radius

@@ -129,6 +129,8 @@ def stamp_agents(grid: OccupancyGrid, agents) -> OccupancyGrid:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scene; its prior shares the truth's grid, as scans of the truth fuse into it."""
+
     name: str
     map: OccupancyGrid                 # ground truth
     prior_map: OccupancyGrid           # what planners start from
@@ -138,6 +140,9 @@ class Scenario:
     masks: tuple = ()                  # (x, y, w, h) rectangles applied to prior
 
     def __post_init__(self):
+        grids = [(g.width, g.height, g.resolution, *g.origin) for g in (self.map, self.prior_map)]
+        if grids[0] != grids[1]:
+            raise ValidationError("prior_map must have the map's width, height, resolution and origin")
         object.__setattr__(self, "start_goal_pairs",
                            tuple((tuple(s), tuple(g)) for s, g in self.start_goal_pairs))
         object.__setattr__(self, "agents", tuple(self.agents))

@@ -3,6 +3,7 @@
 import pytest
 
 from navbench import cli
+from navbench.metrics import LogRecord, NavLog, Outcome, write_log_csv
 from navbench.world import Scenario, save_scenario
 from navbench.worldgen import WorldParams, generate_world
 
@@ -55,6 +56,36 @@ def test_run_without_workers_is_an_error(tmp_path, capsys, jobs):
     assert err.startswith("error: ") and "jobs" in err
     assert not out_dir.exists()
 
+
+@pytest.mark.parametrize("planners", [",", "dwa,dwa", "dwa, teb ,dwa"])
+def test_run_with_an_empty_or_repeated_planner_list_is_an_error(tmp_path, capsys, planners):
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--suite", str(tmp_path / "any.suite"), "--planner", planners,
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--planner" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    ("# outcome: timeout", None),            # no outcome line
+    ("# outcome: timeout", "# outcome: crashed"),
+    ("# pair: 0", "# pair: one"),
+], ids=["missing-outcome", "unknown-outcome", "non-integer-pair"])
+def test_report_rejects_a_trial_csv_without_a_valid_outcome_or_pair(tmp_path, capsys, edit):
+    records = tuple(LogRecord(0.2 * k, 0.1 * k, 0.0, 0.0, 0.5, 0.0, 1.0, 7.0) for k in range(1, 4))
+    path = tmp_path / "static__demo__pair0__dwa.csv"
+    write_log_csv(NavLog(records, Outcome.TIMEOUT), path,
+                  {"group": "static", "scenario": "demo", "pair": 0, "planner": "dwa"})
+    old, new = edit
+    lines = path.read_text().splitlines()
+    assert old in lines
+    path.write_text("\n".join(ln for ln in (new if ln == old else ln for ln in lines)
+                              if ln is not None) + "\n")
+    assert cli.main(["report", "--in", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert not list(tmp_path.glob("table_*"))
 
 
 @pytest.mark.parametrize("key, value", [("name", "again"), ("map", "demo.grid"),

@@ -1,9 +1,11 @@
-"""integrate_scan marches only rays that can reach Unknown cells, and
-run_trial rebuilds the sensed field only when the tick map changed.
+"""integrate_scan fuses exactly the cells raycast's march crossed and
+stopped in, and run_trial rebuilds the sensed field only when the tick map
+changed.
 
-Both are pure skips of work whose result is already known, so equality here
-is exact (`tobytes`, identical CSV rows): a fused cell that moved would move
-the simulated rows of a trial.
+Fusion is checked against an independent march of the same beams (the
+previous `_march`, kept in test_sensing_kernels), and the field skip against
+rebuilding on every tick, so equality here is exact (`tobytes`, identical CSV
+rows): a fused cell that moved would move the simulated rows of a trial.
 """
 
 import math
@@ -14,40 +16,29 @@ import pytest
 
 import navbench.gridmap as gridmap
 from navbench import harness
-from navbench.gridmap import (CellState, LaserScan, OccupancyGrid, ScanSpec, _march,
-                              beam_count, integrate_scan, raycast)
+from navbench.gridmap import CellState, beam_count, integrate_scan, raycast
 from navbench.metrics import write_log_csv
 from navbench.suitegen import build_default_suite
 from navbench.world import load_scenario
+from test_sensing_kernels import old_march
 
 HEADINGS = (0.0, math.pi / 2, -math.pi / 2, math.pi, math.pi / 4)
 
 
-def old_integrate_scan(known, pose, scan):
-    """integrate_scan as it was: every ray marched, carve applied to every
-    non-occupied traversed cell."""
+def reference_integrate_scan(known, truth, pose, spec):
+    """Fusion from an independent march: the beams of a scan from `pose` on
+    `truth`, marched by `old_march` with the truth's Occupied cells blocking;
+    Unknown cells they crossed become Free, Occupied cells they reached (the
+    cells they stopped in) become Occupied."""
     x, y, theta = pose
-    spec = scan.spec
-    res = known.resolution
-    eps = res * 1e-6
-    ang = theta + (spec.angle_min + spec.angle_increment * np.arange(len(scan.ranges)))
-    dx = np.cos(ang)
-    dy = np.sin(ang)
-    px = x + spec.range_min * dx
-    py = y + spec.range_min * dy
-    r = np.asarray(scan.ranges)
-    has_hit = r < spec.range_max - 1e-9
-    t_lim = np.minimum(r, spec.range_max) - spec.range_min
-    _, carve = _march(known, px, py, dx, dy, t_lim - eps, None)
+    ang = theta + spec.angle_min + spec.angle_increment * np.arange(beam_count(spec))
+    dx, dy = np.cos(ang), np.sin(ang)
+    occupied = truth.cells == CellState.OCCUPIED
+    _, crossed = old_march(truth, x + spec.range_min * dx, y + spec.range_min * dy, dx, dy,
+                           spec.range_max - spec.range_min, occupied)
     new = np.array(known.cells)
-    new[carve & (new != CellState.OCCUPIED)] = CellState.FREE
-    if has_hit.any():
-        ex = x + (r[has_hit] + eps) * dx[has_hit]
-        ey = y + (r[has_hit] + eps) * dy[has_hit]
-        exi = np.floor((ex - known.origin[0]) / res).astype(np.int64)
-        eyi = np.floor((ey - known.origin[1]) / res).astype(np.int64)
-        ok = (exi >= 0) & (exi < known.width) & (eyi >= 0) & (eyi < known.height)
-        new[eyi[ok], exi[ok]] = CellState.OCCUPIED
+    new[crossed & (new == CellState.UNKNOWN)] = CellState.FREE
+    new[crossed & occupied] = CellState.OCCUPIED
     return known.with_cells(new)
 
 
@@ -76,7 +67,7 @@ def _unknown_masks(grid, rng):
             ("border", border)]
 
 
-def _poses(grid, rng, n):
+def _poses(grid, rng, n, headings=HEADINGS):
     """Poses on free cells, alternately at a cell centre and a cell corner,
     cycling through the headings."""
     iy, ix = np.nonzero(grid.cells == CellState.FREE)
@@ -88,8 +79,19 @@ def _poses(grid, rng, n):
         else:
             x = grid.origin[0] + ix[j] * grid.resolution
             y = grid.origin[1] + iy[j] * grid.resolution
-        out.append((x, y, HEADINGS[k % len(HEADINGS)]))
+        out.append((x, y, headings[k % len(headings)]))
     return out
+
+
+def _masked_priors(scn, rng):
+    """(name, prior) pairs: the truth with each Unknown pattern applied, and
+    the scene's own prior if it has Unknown cells."""
+    truth = scn.map
+    masks = _unknown_masks(truth, rng)
+    if scn.has_unknown_prior:
+        masks.append(("suite mask", scn.prior_map.cells == CellState.UNKNOWN))
+    return [(name, truth.with_cells(np.where(mask, np.uint8(CellState.UNKNOWN), truth.cells)))
+            for name, mask in masks]
 
 
 def test_integrate_scan_matches_full_march(scenes):
@@ -97,89 +99,73 @@ def test_integrate_scan_matches_full_march(scenes):
     cases = Counter()
     for scn in scenes.values():
         truth = scn.map
-        masks = _unknown_masks(truth, rng)
-        if scn.has_unknown_prior:
-            masks.append(("suite mask", scn.prior_map.cells == CellState.UNKNOWN))
-        for name, mask in masks:
+        for name, prior in _masked_priors(scn, rng):
             # 1% stale obstacles: Occupied cells the scan passes through
             # must stay Occupied.
-            stale = np.where(rng.random(mask.shape) < 0.01, np.uint8(CellState.OCCUPIED),
-                             truth.cells)
-            known = truth.with_cells(np.where(mask, np.uint8(CellState.UNKNOWN), stale))
+            stale = rng.random(prior.cells.shape) < 0.01
+            known = prior.with_cells(np.where(stale & (prior.cells != CellState.UNKNOWN),
+                                              np.uint8(CellState.OCCUPIED), prior.cells))
             for pose in _poses(truth, rng, 5):
-                scan = raycast(truth, pose, scn.scan_spec)
-                got = integrate_scan(known, pose, scan)
-                want = old_integrate_scan(known, pose, scan)
+                got = integrate_scan(known, raycast(truth, pose, scn.scan_spec))
+                want = reference_integrate_scan(known, truth, pose, scn.scan_spec)
                 assert got.cells.tobytes() == want.cells.tobytes(), (scn.name, name, pose)
                 cases[name] += 1
     assert sum(cases.values()) >= 300
     assert len(cases) == 9
 
 
-@pytest.fixture
-def march_calls(monkeypatch):
-    """Ray count of every `_march` call made without a blocking mask."""
-    calls = []
-
-    def counting(grid, px, py, dx, dy, t_stop, blocking):
-        if blocking is None:
-            calls.append(np.size(px))
-        return _march(grid, px, py, dx, dy, t_stop, blocking)
-
-    monkeypatch.setattr(gridmap, "_march", counting)
-    return calls
-
-
-def test_known_map_is_not_marched(scenes, march_calls):
+def test_integrate_scan_makes_no_march(scenes, monkeypatch):
+    """raycast's march is the only one: fusing its scan into a known map or
+    into one with Unknown cells marches nothing."""
     scn = scenes["office"]
     pose = scn.start_goal_pairs[0][0]
     scan = raycast(scn.map, pose, scn.scan_spec)
-    march_calls.clear()
-    got = integrate_scan(scn.map, pose, scan)
-    assert march_calls == []
-    assert got.cells.tobytes() == old_integrate_scan(scn.map, pose, scan).cells.tobytes()
-
-
-def test_unknown_corner_marches_fewer_rays(scenes, march_calls):
-    scn = scenes["office"]
-    truth = scn.map
-    cells = np.array(truth.cells)
+    cells = np.array(scn.map.cells)
     cells[-6:, -6:] = CellState.UNKNOWN
-    known = truth.with_cells(cells)
-    pose = scn.start_goal_pairs[0][0]
-    scan = raycast(truth, pose, scn.scan_spec)
-    march_calls.clear()
-    got = integrate_scan(known, pose, scan)
-    assert len(march_calls) == 1
-    assert march_calls[0] < beam_count(scn.scan_spec)
-    assert got.cells.tobytes() == old_integrate_scan(known, pose, scan).cells.tobytes()
+    calls = []
+    monkeypatch.setattr(gridmap, "_march", lambda *args: calls.append(args))
+    for known in (scn.map, scn.map.with_cells(cells)):
+        integrate_scan(known, scan)
+    assert calls == []
 
 
-# One beam along each axis direction: the robot sits at the centre of cell
-# (5, 10) or (15, 10) of a 20 x 20 grid, and one Unknown cell lies 10 cells
-# ahead of it.
-AXIS_CASES = [((0.55, 1.05, 0.0), (15, 10)), ((1.55, 1.05, math.pi), (5, 10)),
-              ((1.05, 0.55, math.pi / 2), (10, 15)), ((1.05, 1.55, -math.pi / 2), (10, 5))]
+def test_no_phantom_obstacle_where_beams_cross_a_grid_corner(scenes):
+    """From this cell centre, beams at exactly 45 degrees pass through grid
+    corners, where the march steps x first; the cell a beam stops in is the
+    one the march entered, not the diagonal one past the corner, so fusing
+    the scan into the truth map changes nothing."""
+    house = scenes["house"]
+    scan = raycast(house.map, (1.15, 1.75, 0.0), house.scan_spec)
+    assert integrate_scan(house.map, scan).cells.tobytes() == house.map.cells.tobytes()
 
 
-@pytest.mark.parametrize("pose, unknown_cell", AXIS_CASES)
-def test_ray_box_margin_is_one_cell(pose, unknown_cell, march_calls):
-    """A beam that ends one cell short of the Unknown box is marched; one that
-    ends two cells short is not."""
-    cells = np.zeros((20, 20), dtype=np.uint8)
-    cells[unknown_cell[1], unknown_cell[0]] = CellState.UNKNOWN
-    known = OccupancyGrid(20, 20, 0.1, (0.0, 0.0), cells)
-    spec = ScanSpec(angle_min=0.0, angle_max=1e-3, angle_increment=1.0)
-    for r in (0.9, 0.8):  # end cell 1 and 2 cells short of the Unknown cell
-        integrate_scan(known, pose, LaserScan(spec, [r]))
-    assert march_calls == [1, 0]
+def test_fusion_changes_cells_only_to_their_truth_state(scenes):
+    """At cell-centre and cell-corner poses with axis and diagonal headings:
+    a scan of the truth fused into the truth changes no cell, and fused into
+    a masked prior changes cells only to their truth state."""
+    rng = np.random.default_rng(18)
+    headings = tuple(k * math.pi / 4 for k in range(8))
+    changed_total = 0
+    for scn in scenes.values():
+        truth = scn.map
+        scans = [raycast(truth, pose, scn.scan_spec)
+                 for pose in _poses(truth, rng, 2 * len(headings), headings)]
+        for scan in scans:
+            assert integrate_scan(truth, scan).cells.tobytes() == truth.cells.tobytes()
+        for name, prior in _masked_priors(scn, rng):
+            for scan in scans:
+                got = integrate_scan(prior, scan).cells
+                changed = got != prior.cells
+                assert (got[changed] == truth.cells[changed]).all(), (scn.name, name)
+                changed_total += np.count_nonzero(changed)
+    assert changed_total > 0
 
 
 # -- run_trial: the sensed field is rebuilt only when the tick map changed --
 
-# (scene, pair, ticks): house's map changes once, by endpoint marking, on a
-# known map; office_masked pair 1 sees its Unknown region from the start and
-# carves it on ticks 0-31, then on a few later ones.
+# (scene, pair, ticks): house's map is known, so fusion never changes it;
+# office_masked pair 1 sees its Unknown region from the start and carves it on
+# ticks 0-31, then on a few later ones.
 TRIALS = [("house", 0, 12), ("office_masked", 1, 45)]
 
 
@@ -215,7 +201,10 @@ def test_sensed_field_rebuilt_only_on_changed_ticks(scenes, monkeypatch, name, p
     result, tick_maps, builds = _sensed_field_builds(monkeypatch, scenes[name], pair, ticks)
     changed = sum(not np.array_equal(a.cells, b.cells)
                   for a, b in zip(tick_maps, tick_maps[1:]))
-    assert 0 < changed < ticks - 1
+    if scenes[name].has_unknown_prior:
+        assert 0 < changed < ticks - 1
+    else:
+        assert changed == 0
     assert builds == 1 + changed
 
 

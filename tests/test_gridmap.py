@@ -266,7 +266,7 @@ def test_integrate_endpoint_becomes_occupied():
     truth = truth.with_cells(cells)
     pose = (0.55, 1.05, 0.0)
     scan = raycast(truth, pose, ScanSpec(range_max=5.0))
-    merged = integrate_scan(g, pose, scan)
+    merged = integrate_scan(g, scan)
     assert merged.cells[10, 15] == CellState.OCCUPIED
     # cells along the center beam before the hit became free
     assert merged.cells[10, 10] == CellState.FREE
@@ -277,7 +277,7 @@ def test_integrate_carves_unknown_free():
     truth = OccupancyGrid.full_free(30, 30, 0.1)
     pose = (1.5, 1.5, 0.0)
     scan = raycast(truth, pose, ScanSpec(range_max=2.0))
-    merged = integrate_scan(g, pose, scan)
+    merged = integrate_scan(g, scan)
     assert merged.cells[15, 20] == CellState.FREE
     assert (merged.cells == CellState.FREE).sum() > 200
 
@@ -291,8 +291,8 @@ def test_integrate_idempotent(rng):
         cells[15, 15] = CellState.FREE
         truth = truth.with_cells(cells)
     scan = raycast(truth, pose, ScanSpec())
-    once = integrate_scan(prior, pose, scan)
-    twice = integrate_scan(once, pose, scan)
+    once = integrate_scan(prior, scan)
+    twice = integrate_scan(once, scan)
     assert np.array_equal(once.cells, twice.cells)
 
 
@@ -307,7 +307,7 @@ def test_integrate_never_demotes_occupied():
     truth = truth.with_cells(tc)
     pose = (0.15, 1.05, 0.0)
     scan = raycast(truth, pose, ScanSpec(range_max=5.0))
-    merged = integrate_scan(g, pose, scan)
+    merged = integrate_scan(g, scan)
     assert merged.cells[10, 5] == CellState.OCCUPIED
 
 

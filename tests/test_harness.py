@@ -89,6 +89,30 @@ def test_wrapped_call_sites_fire_once_per_tick(suite, monkeypatch):
     assert counts == {"raycast": ticks, "plan": ticks, "LogRecord": ticks, "dwa_plan": ticks}
 
 
+def test_tick_order_of_the_wrapped_call_sites(suite, monkeypatch):
+    """Timing a tick from `raycast` to `LogRecord`, and counting the cells
+    `integrate_scan` changed by comparing its result with its first argument,
+    both need this order and this argument in every tick."""
+    scn, _ = suite
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((name, args, out))
+            return out
+        return wrapper
+
+    for name in ("raycast", "integrate_scan", "LogRecord"):
+        monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
+    result = harness.run_trial(scn, "dwa", 0, CFG)
+    assert len(result.log) == TICKS
+    assert [name for name, _, _ in calls] == ["raycast", "integrate_scan", "LogRecord"] * TICKS
+    fused = [(args[0], out) for name, args, out in calls if name == "integrate_scan"]
+    previous = [scn.prior_map] + [out for _, out in fused[:-1]]
+    assert all(known is prev for (known, _), prev in zip(fused, previous))
+
+
 def test_report_uses_the_trial_d_safe(suite, tmp_path):
     """`bench report` recomputes p_o with the d_safe the trial ran with.  The
     robot keeps 0.6-1.4 m of clearance here, so d_safe=1.0 makes p_o differ

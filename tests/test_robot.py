@@ -1,13 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from navbench.gridmap import DistanceField
 from navbench.robot import (KinematicLimits, RobotState, VelocityCommand,
-                            clamp_command, collision_check, step, wrap_angle)
+                            clamp_command, step, wrap_angle)
 
 LIMITS = KinematicLimits()
 
@@ -115,34 +113,3 @@ def test_wrap_angle_range(theta):
     w = wrap_angle(theta)
     assert -math.pi < w <= math.pi
     assert abs(math.remainder(w - theta, 2 * math.pi)) <= 1e-9
-
-
-def _ramp_field(resolution=0.1, size=40):
-    # value = x [m]: distance grows linearly from the left edge
-    xs = (np.arange(size) + 0.5) * resolution
-    vals = np.tile(xs, (size, 1))
-    return DistanceField(size, size, resolution, (0.0, 0.0), vals)
-
-
-def test_collision_threshold():
-    f = _ramp_field()
-    assert not collision_check(RobotState(0.5, 2.0, 0.0), f, 0.17)
-    assert collision_check(RobotState(0.16, 2.0, 0.0), f, 0.17)
-
-
-def test_collision_flips_exactly_at_radius():
-    f = _ramp_field()
-    radius = 0.17
-    lo, hi = 0.05, 1.0  # collision at lo, free at hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if collision_check(RobotState(mid, 2.0, 0.0), f, radius):
-            lo = mid
-        else:
-            hi = mid
-    assert hi == pytest.approx(radius, abs=1e-9)
-
-
-def test_collision_out_of_bounds_is_collision():
-    f = _ramp_field()
-    assert collision_check(RobotState(-1.0, -1.0, 0.0), f, 0.17)

@@ -8,11 +8,11 @@ exact (identical CSV rows).
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from navbench import harness
-from navbench.gridmap import mask_unknown_region
+from navbench.errors import ValidationError
+from navbench.gridmap import crop_local, mask_unknown_region
 from navbench.metrics import write_log_csv
 from navbench.suitegen import build_default_suite
 from navbench.world import load_scenario
@@ -83,18 +83,13 @@ def test_unknown_prior_with_agents_builds_the_truth_field(scenes, monkeypatch, t
     assert truth_stamps == TICKS and transforms == transforms_off
 
 
-def test_prior_in_another_frame_builds_the_truth_field(scenes, monkeypatch, tmp_path):
-    """Equal cells in a frame shifted by a nanometre are not the same map,
-    though sensing keeps them equal to the truth's on every tick."""
+def test_prior_in_another_frame_is_rejected(scenes):
+    """Scans cast on the truth are fused into the prior, so a prior must share
+    the truth's grid: a nanometre shift of its origin is already another frame."""
     scn = scenes["crowd"]
-    shifted = dataclasses.replace(scn.map, origin=(scn.map.origin[0] + 1e-9,
-                                                   scn.map.origin[1]))
-    scn = dataclasses.replace(scn, prior_map=shifted)
-    sensed = []
-    integrate = harness.integrate_scan
-    monkeypatch.setattr(harness, "integrate_scan",
-                        lambda *args: sensed.append(integrate(*args)) or sensed[-1])
-    _, _, truth_stamps = _run(monkeypatch, tmp_path, scn, reuse=True)
-    assert len(sensed) == TICKS
-    assert all(np.array_equal(m.cells, scn.map.cells) for m in sensed)
-    assert truth_stamps == TICKS
+    g = scn.map
+    for other in (dataclasses.replace(g, origin=(g.origin[0] + 1e-9, g.origin[1])),
+                  dataclasses.replace(g, resolution=g.resolution * 2),
+                  crop_local(g, g.cell_center(g.width // 2, g.height // 2), 3.0)):
+        with pytest.raises(ValidationError, match="prior_map"):
+            dataclasses.replace(scn, prior_map=other)
