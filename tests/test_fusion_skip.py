@@ -114,19 +114,48 @@ def test_integrate_scan_matches_full_march(scenes):
     assert len(cases) == 9
 
 
-def test_integrate_scan_makes_no_march(scenes, monkeypatch):
-    """raycast's march is the only one: fusing its scan into a known map or
-    into one with Unknown cells marches nothing."""
+@pytest.fixture
+def march_calls(monkeypatch):
+    """The calls made to `_march` while the test runs."""
+    calls = []
+    march = gridmap._march
+
+    def counting(*args):
+        calls.append(args)
+        return march(*args)
+
+    monkeypatch.setattr(gridmap, "_march", counting)
+    return calls
+
+
+def test_known_map_is_not_marched(scenes, march_calls):
+    """raycast's march is the only one: fusing its scan into a known map
+    marches nothing and changes nothing."""
     scn = scenes["office"]
     pose = scn.start_goal_pairs[0][0]
     scan = raycast(scn.map, pose, scn.scan_spec)
-    cells = np.array(scn.map.cells)
+    march_calls.clear()
+    got = integrate_scan(scn.map, scan)
+    assert march_calls == []
+    assert got.cells.tobytes() == scn.map.cells.tobytes()
+
+
+def test_unknown_corner_marches_fewer_rays(scenes, march_calls):
+    """Fusing a scan into a map with an Unknown corner marches none of its
+    beams again, and still writes what the independent march finds."""
+    scn = scenes["office"]
+    truth = scn.map
+    cells = np.array(truth.cells)
     cells[-6:, -6:] = CellState.UNKNOWN
-    calls = []
-    monkeypatch.setattr(gridmap, "_march", lambda *args: calls.append(args))
-    for known in (scn.map, scn.map.with_cells(cells)):
-        integrate_scan(known, scan)
-    assert calls == []
+    known = truth.with_cells(cells)
+    pose = scn.start_goal_pairs[0][0]
+    scan = raycast(truth, pose, scn.scan_spec)
+    march_calls.clear()
+    got = integrate_scan(known, scan)
+    assert march_calls == []
+    assert beam_count(scn.scan_spec) > 0
+    want = reference_integrate_scan(known, truth, pose, scn.scan_spec)
+    assert got.cells.tobytes() == want.cells.tobytes()
 
 
 def test_no_phantom_obstacle_where_beams_cross_a_grid_corner(scenes):
