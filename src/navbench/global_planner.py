@@ -4,8 +4,8 @@ Cost-to-go is computed by Dijkstra over the 8-connected free space with an
 obstacle-proximity surcharge.  The graph is a fixed-degree CSR (8 slots per
 cell) cached per grid shape; a call only prices its edges, blocked cells at
 +inf.  The path is extracted by steepest descent with deterministic
-tie-breaking and smoothed by greedy shortcuts, all candidates of a kept
-vertex clearance-checked in one batched field sample.
+tie-breaking and smoothed by greedy shortcuts, tried by `segments_clear`: the
+one straight-segment clearance check, which the suite generator and TEB share.
 """
 
 from __future__ import annotations
@@ -104,24 +104,32 @@ def cost_to_go(grid: OccupancyGrid, goal, radius: float,
     return dist.reshape(h, w)
 
 
+def segments_clear(field: DistanceField, a, ends, counts, clearance: float) -> np.ndarray:
+    """Whether each straight segment from `a` to `ends[k]` keeps `clearance`
+    at its `counts[k]` (>= 2) samples, spaced as np.linspace(0, 1, counts[k])
+    spaces them.  All samples are read in one sample_field call."""
+    dx, dy = (np.asarray(ends, dtype=np.float64) - a).T
+    counts = np.asarray(counts)
+    first = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(counts.size), counts)
+    t = (np.arange(seg.size) - first[seg]) * (1.0 / (counts - 1))[seg]
+    t[first + counts - 1] = 1.0
+    vals = sample_field(field, a[0] + t * dx[seg], a[1] + t * dy[seg])
+    return np.logical_and.reduceat(vals >= clearance, first)
+
+
 def _shortcut(field: DistanceField, pts, radius: float) -> list:
     """Greedy shortcut pass over the descent vertices `pts`.  From kept
-    vertex i, the segments to k = i+2 .. i+SHORTCUT_LOOKAHEAD are sampled
-    every half cell (as np.linspace would) in one sample_field call, and the
-    pass keeps the vertex before the first blocked one (the last if none)."""
+    vertex i, the segments to k = i+2 .. i+SHORTCUT_LOOKAHEAD are checked
+    every half cell in one `segments_clear` call, and the pass keeps the
+    vertex before the first blocked one (the last if none)."""
     half_cell = 0.5 * field.resolution
     kept, i = [pts[0]], 0
     while i < len(pts) - 2:
-        ends = pts[i + 2:i + SHORTCUT_LOOKAHEAD + 1]
-        dx, dy = (np.asarray(ends) - pts[i]).T
-        n = np.array([max(2, int(math.ceil(math.hypot(ex, ey) / half_cell)) + 1)
-                      for ex, ey in zip(dx, dy)])
-        first = np.cumsum(n) - n
-        seg = np.repeat(np.arange(len(ends)), n)
-        t = (np.arange(seg.size) - first[seg]) * (1.0 / (n - 1))[seg]
-        t[first + n - 1] = 1.0
-        vals = sample_field(field, pts[i][0] + t * dx[seg], pts[i][1] + t * dy[seg])
-        clear = np.logical_and.reduceat(vals >= radius, first)
+        a, ends = pts[i], pts[i + 2:i + SHORTCUT_LOOKAHEAD + 1]
+        n = [max(2, int(math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / half_cell)) + 1)
+             for b in ends]
+        clear = segments_clear(field, a, ends, n, radius)
         i += 1 + (len(ends) if clear.all() else int(np.argmin(clear)))
         kept.append(pts[i])
     return kept + pts[i + 1:]

@@ -331,9 +331,9 @@ def _march(grid: GridGeometry, px, py, dx, dy, t_stop, blocking):
 
     A ray stops when it leaves the grid, when it enters a cell at distance
     >= t_stop (a scalar or one value per ray), or when it meets a cell set in
-    `blocking` (a (height, width) bool mask, or None).  Returns the entry
-    distance of each ray's blocking cell (+inf where it met none) and the
-    (height, width) mask of the cells the rays traversed, blocking cells included.
+    `blocking` (a (height, width) bool mask).  Returns the entry distance of
+    each ray's blocking cell (+inf where it met none) and the (height, width)
+    mask of the cells the rays traversed, blocking cells included.
 
     Cells are coded 0 (open), 2 (blocking) or 1 (stop) in a copy with a ring
     of 1s, so leaving the grid is one lookup; rays step flat indices, x first
@@ -357,7 +357,7 @@ def _march(grid: GridGeometry, px, py, dx, dy, t_stop, blocking):
     t_stop = np.broadcast_to(t_stop, ix.shape)
     t_hit = np.full(ix.shape, np.inf)
     code = np.ones((h + 2, w + 2), dtype=np.uint8)
-    code[1:-1, 1:-1] = 0 if blocking is None else blocking * np.uint8(2)
+    code[1:-1, 1:-1] = blocking * np.uint8(2)
     code = code.ravel()
     seen = np.zeros(code.size, dtype=bool)
     ray = np.flatnonzero((ix >= 0) & (ix < w) & (iy >= 0) & (iy < h) & (t_stop > 0))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PlanInputError, ValidationError
+from ..global_planner import segments_clear
 from ..gridmap import UnknownAs, sample_field, signed_distance_field
 from ..robot import VelocityCommand, clamp_command, wrap_angle
 from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
@@ -354,14 +355,10 @@ def teb_plan(req: LocalPlanRequest, cfg: TebConfig = TebConfig()) -> PlannerOutp
     z, obj, evals, trace = optimize_band(problem, z0, cfg)
     xs, ys, ths, dts = problem.unpack(z)
 
-    valid = math.isfinite(obj) and np.isfinite(z).all()
-    if valid:
-        # The executed portion is the first segment; require it collision-free.
-        ts = np.linspace(0.0, 1.0, 6)
-        sx = xs[0] + ts * (xs[1] - xs[0])
-        sy = ys[0] + ts * (ys[1] - ys[0])
-        clear = sample_field(req.local_field, sx, sy)
-        valid = bool((clear >= req.limits.radius).all())
+    # The executed portion is the first segment; require it collision-free.
+    valid = (math.isfinite(obj) and np.isfinite(z).all()
+             and segments_clear(req.local_field, (xs[0], ys[0]), [(xs[1], ys[1])], [6],
+                                req.limits.radius)[0])
     if not valid:
         return recovery_output(req, t0, evals)
 

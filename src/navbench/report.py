@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .metrics import (C_UNITS, MetricsConfig, MetricsReport, Outcome, aggregate_reports,
                       compute_report, read_log_csv)
 
@@ -31,7 +31,7 @@ def collect_rows(in_dir):
     """Scan trial CSVs and recompute their reports.
 
     Returns {group: GroupRows} plus the sorted planner list actually present.
-    A group whose trials ran in different cost modes raises ParseError.
+    Bad or missing metadata, or mixed cost modes in one group, raise ParseError.
     """
     groups = {}
     planners = set()
@@ -44,15 +44,18 @@ def collect_rows(in_dir):
         scenario = meta.get("scenario", name)
         pair = int(meta.get("pair", 0))
         planner = meta.get("planner", "planner")
-        d_safe = float(meta.get("d_safe", 0.34))
-        mode = meta.get("cost_mode", "wallclock")
+        mode = meta.get("cost_mode")
         if mode not in C_UNITS:
-            raise ParseError(f"unknown cost_mode {mode!r}", path=path)
+            raise ParseError(f"missing or unknown '# cost_mode:' {mode!r}", path=path)
+        try:
+            metrics_cfg = MetricsConfig(d_safe=float(meta.get("d_safe", 0.34)))
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"bad '# d_safe:': {exc}", path=path)
         rows = groups.setdefault(group, GroupRows(mode))
         if mode != rows.cost_mode:
             raise ParseError(f"cost_mode {mode!r} differs from the {rows.cost_mode!r} "
                              f"of group {group!r}", path=path)
-        report = compute_report(log, MetricsConfig(d_safe=d_safe))
+        report = compute_report(log, metrics_cfg)
         rows.setdefault((scenario, pair), {})[planner] = report
         planners.add(planner)
     return groups, sorted(planners)

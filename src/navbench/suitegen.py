@@ -1,6 +1,6 @@
 """Builds the ready-to-run benchmark suite: generated worlds, start/goal
-pairs with guaranteed clearance and connectivity, agent routes for the
-dynamic group, and the manifest tying them together."""
+pairs with guaranteed clearance and connectivity, agent routes cleared by
+`global_planner.segments_clear`, and the manifest tying them together."""
 
 from __future__ import annotations
 
@@ -11,22 +11,13 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import NoPathError, PlanInputError, ValidationError
-from .global_planner import plan_global
-from .gridmap import (CellState, OccupancyGrid, distance_transform,
-                      mask_unknown_region, sample_field)
+from .global_planner import plan_global, segments_clear
+from .gridmap import CellState, OccupancyGrid, distance_transform, mask_unknown_region
 from .world import DynamicAgent, Scenario, save_scenario
 from .worldgen import WorldParams, generate_world
 
 ROBOT_RADIUS = 0.17
 PAIR_CLEARANCE = 0.35
-
-
-def _segment_clearance_ok(field, a, b, clearance) -> bool:
-    n = max(2, int(math.hypot(b[0] - a[0], b[1] - a[1]) / 0.1) + 1)
-    ts = np.linspace(0.0, 1.0, n)
-    xs = a[0] + ts * (b[0] - a[0])
-    ys = a[1] + ts * (b[1] - a[1])
-    return bool((sample_field(field, xs, ys) >= clearance).all())
 
 
 def _path_crosses(path, rect) -> bool:
@@ -113,7 +104,7 @@ def propose_agent_routes(grid: OccupancyGrid, n_agents: int, seed: int, pairs, *
         length = math.hypot(b[0] - a[0], b[1] - a[1])
         if not min_len <= length <= max_len:
             continue
-        if not _segment_clearance_ok(field, a, b, radius + 0.1):
+        if not segments_clear(field, a, [b], [max(2, int(length / 0.1) + 1)], radius + 0.1)[0]:
             continue
         if any(math.hypot(a[0] - k[0], a[1] - k[1]) < 1.5 for k in keepout):
             continue

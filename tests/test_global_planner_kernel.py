@@ -1,5 +1,6 @@
-"""plan_global's batched shortcut pass and cached CSR layout against the
-per-segment and COO-built forms they replace.
+"""plan_global's batched shortcut pass, cached CSR layout and segment
+clearance check against the per-segment, COO-built and per-caller forms they
+replace.
 
 Equality here is exact (`==`, `tobytes`): a replanned path or cost-to-go
 that moved in the last bit would move the simulated rows of a trial.
@@ -15,10 +16,12 @@ from scipy.sparse.csgraph import dijkstra
 import navbench.global_planner as global_planner
 from navbench.errors import NoPathError, PlanInputError
 from navbench.global_planner import (UNKNOWN_STEP_PENALTY, W_OBS, GlobalPath,
-                                     cost_to_go, plan_global)
+                                     cost_to_go, plan_global, segments_clear)
 from navbench.gridmap import (CellState, OccupancyGrid, UnknownAs,
                               distance_transform, mask_unknown_region, sample_field)
 from navbench.worldgen import WorldParams, generate_world
+
+from conftest import random_grid
 
 RADIUS = 0.17
 
@@ -234,3 +237,72 @@ def test_one_field_sample_per_kept_vertex(monkeypatch):
         assert len(calls) <= len(path) - 1
         total += len(calls)
     assert total > 0
+
+
+# -- segments_clear against the samplers it replaced -----------------------
+
+def linspace_samples(a, b, n):
+    """The points of suitegen's agent-route check and of teb_plan's
+    executed-segment check."""
+    ts = np.linspace(0.0, 1.0, n)
+    return a[0] + ts * (b[0] - a[0]), a[1] + ts * (b[1] - a[1])
+
+
+def batched_t_samples(a, ends, counts):
+    """The points of _shortcut's batched check, one run per segment."""
+    dx, dy = (np.asarray(ends) - a).T
+    n = np.array(counts)
+    first = np.cumsum(n) - n
+    seg = np.repeat(np.arange(len(ends)), n)
+    t = (np.arange(seg.size) - first[seg]) * (1.0 / (n - 1))[seg]
+    t[first + n - 1] = 1.0
+    return a[0] + t * dx[seg], a[1] + t * dy[seg]
+
+
+def test_segments_clear_equals_the_retired_samplers(monkeypatch):
+    """Random fields and segments, with zero-length segments, counts of 2 and
+    endpoints beyond the grid: one sample_field call whose points are, bit
+    for bit, the batched form's and, per segment, the linspace form's, and
+    the linspace form's verdict per segment."""
+    batched = []
+
+    def recording(field, xs, ys):
+        batched.append((xs, ys))
+        return sample_field(field, xs, ys)
+    monkeypatch.setattr(global_planner, "sample_field", recording)
+    rng = np.random.default_rng(19)
+    verdicts, zero_length, outside = set(), 0, 0
+    for _ in range(150):
+        w, h = (int(v) for v in rng.integers(1, 50, size=2))
+        grid = random_grid(rng, w, h, float(rng.choice([0.05, 0.1, 0.25])),
+                           rng.uniform(0.0, 0.3), tuple(rng.normal(size=2)))
+        field = distance_transform(grid)
+        # Points reach a fifth of the grid beyond each side.
+        size = np.array([grid.size_x, grid.size_y])
+        lo, hi = np.array(grid.origin) - 0.2 * size, np.array(grid.origin) + 1.2 * size
+        a = tuple(rng.uniform(lo, hi))
+        if rng.random() < 0.5:  # suitegen passes Python floats, teb_plan numpy ones
+            a = tuple(float(v) for v in a)
+        ends = [a if rng.random() < 0.15 else tuple(rng.uniform(lo, hi))
+                for _ in range(int(rng.integers(1, 12)))]
+        counts = [2 if rng.random() < 0.3 else int(rng.integers(3, 60)) for _ in ends]
+        want_xs, want_ys = batched_t_samples(a, ends, counts)
+        # A threshold equal to one sample's value: ties must fall the same way.
+        clearance = float(rng.choice(sample_field(field, want_xs, want_ys)))
+        batched.clear()
+        got = segments_clear(field, a, ends, counts, clearance)
+        assert len(batched) == 1
+        xs, ys = batched[0]
+        assert xs.tobytes() == want_xs.tobytes() and ys.tobytes() == want_ys.tobytes()
+        pieces = np.cumsum(counts)[:-1]
+        for b, n, seg_xs, seg_ys, clear in zip(ends, counts, np.split(xs, pieces),
+                                               np.split(ys, pieces), got):
+            lin_xs, lin_ys = linspace_samples(a, b, n)
+            assert seg_xs.tobytes() == lin_xs.tobytes()
+            assert seg_ys.tobytes() == lin_ys.tobytes()
+            assert clear == bool((sample_field(field, lin_xs, lin_ys) >= clearance).all())
+            verdicts.add(bool(clear))
+            zero_length += b == a
+            outside += not (grid.contains(*a) and grid.contains(*b))
+    assert verdicts == {True, False}
+    assert zero_length > 0 and outside > 0

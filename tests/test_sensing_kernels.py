@@ -183,7 +183,8 @@ def test_march_matches_parent_on_random_grids(blocked, per_ray):
         t_stop = rng.uniform(-0.3 * span, span, n) if per_ray else float(rng.uniform(0, span))
         if per_ray:
             t_stop[rng.random(n) < 0.1] = 0.0
-        blocking = grid.cells == CellState.OCCUPIED if blocked else None
+        blocking = (grid.cells == CellState.OCCUPIED if blocked
+                    else np.zeros((h, w), dtype=bool))
         assert_march_same(grid, px, py, np.cos(ang), np.sin(ang), t_stop, blocking, (w, h))
 
 
@@ -248,14 +249,15 @@ def test_march_corner_starts_axis_and_diagonal_headings():
                 n = dx.size
                 assert_march_same(grid, np.full(n, x), np.full(n, y), dx, dy,
                                   2.0 * max(grid.size_x, grid.size_y),
-                                  grid.cells == CellState.OCCUPIED if blocked else None,
+                                  grid.cells == CellState.OCCUPIED if blocked
+                                  else np.zeros((h, w), dtype=bool),
                                   (w, h, x, y, blocked))
 
 
 def test_march_tie_steps_x_first():
     grid = OccupancyGrid.full_free(4, 4, 1.0)
     _, seen = _march(grid, np.array([0.0]), np.array([0.0]), np.array([DIAG]),
-                     np.array([DIAG]), 3.0, None)
+                     np.array([DIAG]), 3.0, np.zeros((4, 4), dtype=bool))
     want = np.zeros((4, 4), dtype=bool)
     want[0, 0] = want[0, 1] = want[1, 1] = want[1, 2] = want[2, 2] = True
     assert (seen == want).all()
