@@ -2,13 +2,14 @@
 
 Grids are immutable value objects; every operation returns a new grid.
 World coordinates are meters, cell (0, 0) sits at the grid origin corner and
-row 0 is the minimum-y row.  A scan is marched once, by `raycast`; it carries
-the cells its beams crossed and stopped in, and `integrate_scan` fuses those.
+row 0 is the minimum-y row.  A scan marches its beams on first read; fusion
+reads it only when it can change the map, and fuses the cells they crossed.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +28,11 @@ class CellState(enum.IntEnum):
     UNKNOWN = 2
 
 
-_CHAR_OF = {CellState.FREE: ".", CellState.OCCUPIED: "#", CellState.UNKNOWN: "?"}
-_STATE_OF = {v: k for k, v in _CHAR_OF.items()}
+# Grid-file characters: ASCII code by cell state, and cell state by code point
+# (255 for any other character; code points past 127 read entry 127).
+_CHAR_CODES = np.frombuffer(b".#?", dtype=np.uint8)
+_STATE_CODES = np.full(128, 255, dtype=np.uint8)
+_STATE_CODES[_CHAR_CODES] = np.arange(_CHAR_CODES.size)
 
 
 class UnknownAs(enum.Enum):
@@ -161,26 +165,35 @@ def beam_count(spec: ScanSpec) -> int:
 
 @dataclass(frozen=True)
 class LaserScan:
-    """One lidar scan, read-only, with its march's cells on the grid it was cast on."""
+    """One lidar scan from `pose` (x, y, theta) against the grid `world`.
+
+    Its read-only `ranges` (beam k at angle_min + k * angle_increment: entry
+    distance into the first Occupied cell, else range_max), `seen` and `hit`
+    ((height, width) bool: cells crossed, hit cells included, and cells stopped
+    in) come from one exact march of the beams' cell crossings, on first read."""
 
     spec: ScanSpec
-    ranges: np.ndarray  # one range per beam, beam k at angle_min + k * angle_increment
-    seen: np.ndarray  # (height, width) bool: cells the beams crossed, hit cells included
-    hit: np.ndarray  # (height, width) bool: cells the beams stopped in
+    world: OccupancyGrid
+    pose: tuple[float, float, float]
 
-    def __post_init__(self):
-        r = np.asarray(self.ranges, dtype=np.float64)
-        expected = beam_count(self.spec)
-        if r.shape != (expected,):
-            raise ValidationError(f"expected {expected} ranges, got {r.shape}")
-        finite = r[np.isfinite(r)]
-        if finite.size and (finite.min() < self.spec.range_min - 1e-9
-                            or finite.max() > self.spec.range_max + 1e-9):
-            raise ValidationError("scan ranges outside [range_min, range_max]")
-        for name, arr in (("ranges", r.copy()), ("seen", np.array(self.seen, dtype=bool)),
-                          ("hit", np.array(self.hit, dtype=bool))):
+    ranges = property(lambda self: self._cast[0])
+    seen = property(lambda self: self._cast[1])
+    hit = property(lambda self: self._cast[2])
+
+    @functools.cached_property
+    def _cast(self):
+        x, y, theta = self.pose
+        spec = self.spec
+        ang = theta + spec.angle_min + spec.angle_increment * np.arange(beam_count(spec))
+        dx, dy = np.cos(ang), np.sin(ang)
+        occupied = self.world.cells == CellState.OCCUPIED
+        t_hit, seen = _march(self.world, x + spec.range_min * dx, y + spec.range_min * dy,
+                             dx, dy, spec.range_max - spec.range_min, occupied)
+        out = (np.where(np.isfinite(t_hit), spec.range_min + t_hit, spec.range_max),
+               seen, seen & occupied)
+        for arr in out:
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,35 +404,26 @@ def _march(grid: GridGeometry, px, py, dx, dy, t_stop, blocking):
 
 
 def raycast(world: OccupancyGrid, pose, spec: ScanSpec = ScanSpec()) -> LaserScan:
-    """Simulate one lidar scan from pose (x, y, theta) against the grid.
-
-    Beams march cell crossings exactly; the entry distance into the first
-    occupied cell is the hit range.  Unknown cells do not block beams.  Beams
-    that exit the grid or exceed range_max report the max-range sentinel.
-    The scan keeps the march's cells: `seen`, and `hit` = `seen` & Occupied,
-    since a beam enters an Occupied cell only to stop there.
-    """
+    """One lidar scan from pose (x, y, theta) against the grid; raises if the
+    pose is outside it.  The scan is marched when something first reads it."""
     x, y, theta = pose
     if not world.contains(x, y):
         raise OutOfBoundsError("raycast pose outside grid")
-    ang = theta + spec.angle_min + spec.angle_increment * np.arange(beam_count(spec))
-    dx = np.cos(ang)
-    dy = np.sin(ang)
-    px = x + spec.range_min * dx
-    py = y + spec.range_min * dy
-    occupied = world.cells == CellState.OCCUPIED
-    t_hit, seen = _march(world, px, py, dx, dy, spec.range_max - spec.range_min, occupied)
-    ranges = np.where(np.isfinite(t_hit), spec.range_min + t_hit, spec.range_max)
-    return LaserScan(spec, ranges, seen, seen & occupied)
+    return LaserScan(spec, world, (x, y, theta))
 
 
 def integrate_scan(known: OccupancyGrid, scan: LaserScan) -> OccupancyGrid:
     """Fuse a scan into `known`, which must share the grid the scan was cast
     on: Unknown cells the beams crossed become Free, and the cells they
-    stopped in become Occupied.  Occupied cells are never demoted."""
-    if not scan.seen.shape == scan.hit.shape == known.cells.shape:
-        raise ValidationError(f"scan masks do not match the grid's {known.cells.shape}")
+    stopped in become Occupied.  Occupied cells are never demoted.  If `known`
+    has no Unknown cell and all the world's Occupied cells, no cell can change:
+    the scan is not read (so not marched), and a copy of `known` is returned."""
+    if scan.world.cells.shape != known.cells.shape:
+        raise ValidationError(f"scan grid does not match the grid's {known.cells.shape}")
     new = np.array(known.cells)
+    occupied = scan.world.cells == CellState.OCCUPIED
+    if (new != CellState.UNKNOWN).all() and (new[occupied] == CellState.OCCUPIED).all():
+        return known.with_cells(new)
     new[scan.seen & (new == CellState.UNKNOWN)] = CellState.FREE
     new[scan.hit] = CellState.OCCUPIED
     return known.with_cells(new)
@@ -469,14 +473,13 @@ def crop_local(grid: OccupancyGrid, center, side: float) -> OccupancyGrid:
 
 
 def save_grid(grid: OccupancyGrid, path) -> None:
-    lines = [f"grid {grid.width} {grid.height} {grid.resolution:.10g} "
-             f"{grid.origin[0]:.10g} {grid.origin[1]:.10g}"]
-    lut = np.array([_CHAR_OF[CellState.FREE], _CHAR_OF[CellState.OCCUPIED],
-                    _CHAR_OF[CellState.UNKNOWN]])
-    for iy in range(grid.height):
-        lines.append("".join(lut[grid.cells[iy]]))
+    head = (f"grid {grid.width} {grid.height} {grid.resolution:.10g} "
+            f"{grid.origin[0]:.10g} {grid.origin[1]:.10g}\n")
+    rows = np.empty((grid.height, grid.width + 1), dtype=np.uint8)
+    rows[:, :-1] = _CHAR_CODES[grid.cells]
+    rows[:, -1] = ord("\n")
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(head + rows.tobytes().decode("ascii"))
 
 
 def load_grid(path) -> OccupancyGrid:
@@ -493,19 +496,24 @@ def load_grid(path) -> OccupancyGrid:
         origin = (float(head[4]), float(head[5]))
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}", path=path, line=1)
+    if w < 0 or h < 0:
+        raise ParseError(f"negative grid size {w} x {h}", path=path, line=1)
     if len(lines) < 1 + h:
         raise ParseError(f"expected {h} rows, found {len(lines) - 1}", path=path, line=len(lines))
-    cells = np.zeros((h, w), dtype=np.uint8)
-    for iy in range(h):
-        row = lines[1 + iy]
-        if len(row) != w:
-            raise ParseError(f"row has {len(row)} cells, expected {w}", path=path, line=2 + iy)
-        for ix, ch in enumerate(row):
-            state = _STATE_OF.get(ch)
-            if state is None:
-                raise ParseError(f"unknown cell character {ch!r}", path=path, line=2 + iy)
-            cells[iy, ix] = state
+    rows = lines[1:1 + h]
+    # The rows before the first one of the wrong length are mapped in one
+    # lookup, one code point per cell; the first error in row order is raised.
+    n_ok = next((iy for iy, row in enumerate(rows) if len(row) != w), len(rows))
+    codes = np.frombuffer("".join(rows[:n_ok]).encode("utf-32-le"), dtype=np.uint32)
+    states = _STATE_CODES[np.minimum(codes, _STATE_CODES.size - 1)]
+    bad = np.flatnonzero(states == 255)
+    if bad.size:
+        iy, ix = divmod(int(bad[0]), w)
+        raise ParseError(f"unknown cell character {rows[iy][ix]!r}", path=path, line=2 + iy)
+    if n_ok < len(rows):
+        raise ParseError(f"row has {len(rows[n_ok])} cells, expected {w}", path=path,
+                         line=2 + n_ok)
     for ln, row in enumerate(lines[1 + h:], start=2 + h):
         if row.strip():
             raise ParseError(f"row beyond the header's {h} rows", path=path, line=ln)
-    return OccupancyGrid(w, h, res, origin, cells)
+    return OccupancyGrid(w, h, res, origin, states.reshape(h, w))

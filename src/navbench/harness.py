@@ -1,10 +1,12 @@
 """Closed-loop trial runner and suite orchestration.
 
-Each control tick: sense (one raycast; its march's cells update the sensed
-map), stamp agents, refresh the distance fields (the sensed field is rebuilt
-only when the tick map changed; with agents it is also the ground-truth field
-while the sensed map equals the truth), refresh the global reference, plan
-locally, clamp the command, integrate physics in sub-steps, and log one record.
+Each control tick: sense (one raycast, whose beams are marched only when
+fusing the scan can change the sensed map: while it has Unknown cells or lacks
+an obstacle of the truth), stamp agents, refresh the distance fields (the
+sensed field is rebuilt only when the tick map changed; with agents it is also
+the ground-truth field while the sensed map equals the truth), refresh the
+global reference, plan locally, clamp the command, integrate physics in
+sub-steps, and log one record.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class TrialConfig:
             raise ValidationError("physics_dt must divide control_period")
         if self.goal_pos_tol <= 0 or self.goal_yaw_tol <= 0 or self.timeout <= 0:
             raise ValidationError("tolerances and timeout must be positive")
+        if not 0 < self.d_safe < math.inf:
+            raise ValidationError("d_safe must be positive and finite")
         if self.compute_cost_mode not in ("wallclock", "iterations"):
             raise ValidationError("compute_cost_mode must be wallclock or iterations")
 

@@ -72,8 +72,8 @@ class MetricsConfig:
     d_safe: float = 0.34  # clearance threshold for the exposure metric
 
     def __post_init__(self):
-        if not self.d_safe > 0:
-            raise ValidationError("d_safe must be positive")
+        if not 0 < self.d_safe < math.inf:
+            raise ValidationError("d_safe must be positive and finite")
 
 
 C_UNITS = {"wallclock": "ms", "iterations": "iter"}  # C's unit by cost mode

@@ -47,8 +47,10 @@ def collect_rows(in_dir):
         mode = meta.get("cost_mode")
         if mode not in C_UNITS:
             raise ParseError(f"missing or unknown '# cost_mode:' {mode!r}", path=path)
+        if "d_safe" not in meta:
+            raise ParseError("missing '# d_safe:'", path=path)
         try:
-            metrics_cfg = MetricsConfig(d_safe=float(meta.get("d_safe", 0.34)))
+            metrics_cfg = MetricsConfig(d_safe=float(meta["d_safe"]))
         except (ValueError, ValidationError) as exc:
             raise ParseError(f"bad '# d_safe:': {exc}", path=path)
         rows = groups.setdefault(group, GroupRows(mode))

@@ -74,8 +74,10 @@ def test_run_with_an_empty_or_repeated_planner_list_is_an_error(tmp_path, capsys
     ("# cost_mode: iterations", None),      # would be tabled as wall-clock
     ("# d_safe: 0.34", "# d_safe: abc"),
     ("# d_safe: 0.34", "# d_safe: 0"),
+    ("# d_safe: 0.34", None),                # would be tabled at the default 0.34
+    ("# d_safe: 0.34", "# d_safe: inf"),
 ], ids=["missing-outcome", "unknown-outcome", "non-integer-pair", "missing-cost-mode",
-        "non-numeric-d-safe", "zero-d-safe"])
+        "non-numeric-d-safe", "zero-d-safe", "missing-d-safe", "inf-d-safe"])
 def test_report_rejects_a_trial_csv_without_a_valid_outcome_or_pair(tmp_path, capsys, edit):
     records = tuple(LogRecord(0.2 * k, 0.1 * k, 0.0, 0.0, 0.5, 0.0, 1.0, 7.0) for k in range(1, 4))
     path = tmp_path / "static__demo__pair0__dwa.csv"

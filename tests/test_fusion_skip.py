@@ -141,18 +141,17 @@ def test_known_map_is_not_marched(scenes, march_calls):
 
 
 def test_unknown_corner_marches_fewer_rays(scenes, march_calls):
-    """Fusing a scan into a map with an Unknown corner marches none of its
-    beams again, and still writes what the independent march finds."""
+    """A scan fused into a map with an Unknown corner is marched exactly once
+    across `raycast` and `integrate_scan`, and fusion still writes what the
+    independent march finds."""
     scn = scenes["office"]
     truth = scn.map
     cells = np.array(truth.cells)
     cells[-6:, -6:] = CellState.UNKNOWN
     known = truth.with_cells(cells)
     pose = scn.start_goal_pairs[0][0]
-    scan = raycast(truth, pose, scn.scan_spec)
-    march_calls.clear()
-    got = integrate_scan(known, scan)
-    assert march_calls == []
+    got = integrate_scan(known, raycast(truth, pose, scn.scan_spec))
+    assert len(march_calls) == 1
     assert beam_count(scn.scan_spec) > 0
     want = reference_integrate_scan(known, truth, pose, scn.scan_spec)
     assert got.cells.tobytes() == want.cells.tobytes()
@@ -188,6 +187,35 @@ def test_fusion_changes_cells_only_to_their_truth_state(scenes):
                 assert (got[changed] == truth.cells[changed]).all(), (scn.name, name)
                 changed_total += np.count_nonzero(changed)
     assert changed_total > 0
+
+
+def test_a_scan_is_marched_once_on_its_first_read(scenes, march_calls):
+    scn = scenes["office"]
+    scan = raycast(scn.map, scn.start_goal_pairs[0][0], scn.scan_spec)
+    assert march_calls == []
+    reads = [getattr(scan, name) for name in ("ranges", "seen", "hit") * 2]
+    assert len(march_calls) == 1
+    for first, again in zip(reads[:3], reads[3:]):
+        assert first is again and not first.flags.writeable
+
+
+def test_a_prior_without_unknown_cells_still_gets_the_obstacles_it_lacks(scenes):
+    """The skip needs both clauses: a prior with no Unknown cell that lacks a
+    truth obstacle the scan hits gets it marked, one the scan does not reach
+    stays Free, and fusing into the truth itself gives a new, equal grid."""
+    scn = scenes["office"]
+    truth = scn.map
+    pose = scn.start_goal_pairs[0][0]
+    scan = raycast(truth, pose, scn.scan_spec)
+    assert integrate_scan(truth, scan) is not truth
+    hit = tuple(np.argwhere(scan.hit)[0])
+    unseen = tuple(np.argwhere((truth.cells == CellState.OCCUPIED) & ~scan.seen)[0])
+    cells = np.array(truth.cells)
+    cells[hit] = cells[unseen] = CellState.FREE
+    got = integrate_scan(truth.with_cells(cells), raycast(truth, pose, scn.scan_spec)).cells
+    assert got[hit] == CellState.OCCUPIED and got[unseen] == CellState.FREE
+    cells[hit] = CellState.OCCUPIED
+    assert got.tobytes() == cells.tobytes()
 
 
 # -- run_trial: the sensed field is rebuilt only when the tick map changed --
@@ -251,3 +279,35 @@ def test_rebuilding_every_tick_writes_the_same_rows(scenes, monkeypatch, tmp_pat
         rows.append([ln for ln in path.read_text().splitlines()
                      if not ln.startswith("# wall_ms")])
     assert rows[0] == rows[1]
+
+
+def _trial_rows(scn, pair, ticks, path):
+    """Run one trial; return its CSV rows, wall time left out."""
+    cfg = harness.TrialConfig(compute_cost_mode="iterations",
+                              timeout=ticks * harness.TrialConfig.control_period)
+    result = harness.run_trial(scn, "dwa", pair, cfg)
+    assert len(result.log) == ticks
+    write_log_csv(result.log, path, result.metadata)
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("# wall_ms")]
+
+
+@pytest.mark.parametrize("name, pair, ticks", TRIALS)
+def test_scans_are_marched_only_where_fusion_can_change_the_map(
+        scenes, monkeypatch, tmp_path, march_calls, name, pair, ticks):
+    """house's map is known, so no scan of its trial is marched; office_masked
+    keeps Unknown cells, so each tick's scan is marched once.  Marching every
+    scan as it is cast writes the same rows."""
+    scn = scenes[name]
+    rows = _trial_rows(scn, pair, ticks, tmp_path / "deferred.csv")
+    assert len(march_calls) == (ticks if scn.has_unknown_prior else 0)
+    cast = harness.raycast
+
+    def eager(*args):
+        scan = cast(*args)
+        scan.ranges
+        return scan
+
+    monkeypatch.setattr(harness, "raycast", eager)
+    march_calls.clear()
+    assert _trial_rows(scn, pair, ticks, tmp_path / "eager.csv") == rows
+    assert len(march_calls) == ticks

@@ -411,3 +411,35 @@ def test_grid_file_rejects_bad_header(tmp_path):
     path.write_text("grid 3 x 0.1 0 0\n")
     with pytest.raises(ParseError):
         load_grid(path)
+
+
+def test_grid_file_bytes(tmp_path):
+    g = OccupancyGrid(3, 2, 0.1, (0.0, -0.5), np.array([[0, 1, 2], [0, 0, 0]]))
+    save_grid(g, tmp_path / "g.grid")
+    assert (tmp_path / "g.grid").read_bytes() == b"grid 3 2 0.1 0 -0.5\n.#?\n...\n"
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # the first error in row order wins: a bad character in row 3 over a bad
+    # length in row 7, a bad length in row 2 over a bad character in row 3
+    ([".#.", "...", "..x", "...", "...", "...", "..", "..."], 4,
+     "unknown cell character 'x'"),
+    (["...", "..", "x..", "..."], 3, "row has 2 cells, expected 3"),
+    (["...", ".é.", "..."], 3, "unknown cell character 'é'"),
+    (["...", "...", "...."], 4, "row has 4 cells, expected 3"),
+])
+def test_grid_file_reports_its_first_bad_row(tmp_path, rows, line, message):
+    path = tmp_path / "bad.grid"
+    path.write_text("\n".join([f"grid 3 {len(rows)} 0.1 0 0"] + rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_grid(path)
+    assert err.value.line == line and str(err.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("size", ["-3 2", "3 -2"])
+def test_grid_file_rejects_a_negative_size(tmp_path, size):
+    path = tmp_path / "bad.grid"
+    path.write_text(f"grid {size} 0.1 0 0\n...\n...\n")
+    with pytest.raises(ParseError) as err:
+        load_grid(path)
+    assert err.value.line == 1

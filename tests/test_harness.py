@@ -5,6 +5,7 @@ import pytest
 
 import navbench.local_planners as local_planners
 from navbench import cli, harness, report
+from navbench.errors import ValidationError
 from navbench.metrics import Outcome, compute_report, read_log_csv, write_log_csv
 from navbench.suitegen import propose_pairs
 from navbench.world import Scenario, save_scenario
@@ -111,6 +112,13 @@ def test_tick_order_of_the_wrapped_call_sites(suite, monkeypatch):
     fused = [(args[0], out) for name, args, out in calls if name == "integrate_scan"]
     previous = [scn.prior_map] + [out for _, out in fused[:-1]]
     assert all(known is prev for (known, _), prev in zip(fused, previous))
+
+
+@pytest.mark.parametrize("d_safe", [0.0, -0.34, float("inf"), float("nan")])
+def test_trial_config_rejects_a_d_safe_that_is_not_positive_and_finite(d_safe):
+    """Rejected before a trial runs, not by its report after the last tick."""
+    with pytest.raises(ValidationError, match="d_safe"):
+        harness.TrialConfig(d_safe=d_safe)
 
 
 def test_report_uses_the_trial_d_safe(suite, tmp_path):
