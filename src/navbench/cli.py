@@ -18,7 +18,6 @@ from .world import load_scenario
 
 
 def _add_trial_opts(p):
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cost-mode", choices=("wallclock", "iterations"), default="wallclock")
     p.add_argument("--control-period", type=float, default=0.2)
     p.add_argument("--timeout", type=float, default=300.0)
@@ -28,7 +27,7 @@ def _add_trial_opts(p):
 
 
 def _trial_cfg(args) -> TrialConfig:
-    return TrialConfig(control_period=args.control_period, seed=args.seed,
+    return TrialConfig(control_period=args.control_period,
                        compute_cost_mode=args.cost_mode, timeout=args.timeout)
 
 

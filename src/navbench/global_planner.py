@@ -19,8 +19,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import NoPathError, PlanInputError
-from .gridmap import (CellState, DistanceField, OccupancyGrid, UnknownAs,
-                      distance_at, distance_transform, sample_field)
+from .gridmap import (OCCUPIED, UNKNOWN, DistanceField, OccupancyGrid,
+                      UnknownAs, distance_at, distance_transform, sample_field)
 
 # Proximity surcharge: cost = step + W_OBS * max(0, d_infl - d(cell)),
 # with d_infl = 2 * radius.  Unknown cells pay a flat extra so the planner
@@ -79,7 +79,7 @@ def cost_to_go(grid: OccupancyGrid, goal, radius: float,
     w, h = grid.width, grid.height
     n = w * h
 
-    trav_flat = ((grid.cells != CellState.OCCUPIED) & (field.values >= radius)).ravel()
+    trav_flat = ((grid.cells != OCCUPIED) & (field.values >= radius)).ravel()
 
     gi = grid.cell_index(goal[0], goal[1])
     goal_flat = gi[1] * w + gi[0]
@@ -87,7 +87,7 @@ def cost_to_go(grid: OccupancyGrid, goal, radius: float,
         raise PlanInputError("goal cell blocked")
 
     prox = W_OBS * np.maximum(0.0, 2.0 * radius - field.values)
-    unknown_extra = np.where(grid.cells == CellState.UNKNOWN,
+    unknown_extra = np.where(grid.cells == UNKNOWN,
                              UNKNOWN_STEP_PENALTY * res, 0.0)
     node_cost = (prox + unknown_extra).ravel()
     node_cost[~trav_flat] = np.inf

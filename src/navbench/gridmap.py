@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import OutOfBoundsError, ParseError, ValidationError
+from .errors import OutOfBoundsError, ParseError, ValidationError, finite
 
 # Stand-in for +inf when a field value has to be written to a text output.
 INF_SENTINEL_M = 1.0e9
@@ -26,6 +26,11 @@ class CellState(enum.IntEnum):
     FREE = 0
     OCCUPIED = 1
     UNKNOWN = 2
+
+
+# The codes as plain ints, for cell arrays: numpy compares an array with an
+# IntEnum member several times slower than with an int.
+FREE, OCCUPIED, UNKNOWN = map(int, CellState)
 
 
 # Grid-file characters: ASCII code by cell state, and cell state by code point
@@ -186,7 +191,7 @@ class LaserScan:
         spec = self.spec
         ang = theta + spec.angle_min + spec.angle_increment * np.arange(beam_count(spec))
         dx, dy = np.cos(ang), np.sin(ang)
-        occupied = self.world.cells == CellState.OCCUPIED
+        occupied = self.world.cells == OCCUPIED
         t_hit, seen = _march(self.world, x + spec.range_min * dx, y + spec.range_min * dy,
                              dx, dy, spec.range_max - spec.range_min, occupied)
         out = (np.where(np.isfinite(t_hit), spec.range_min + t_hit, spec.range_max),
@@ -203,8 +208,8 @@ class LaserScan:
 def _obstacles(grid: OccupancyGrid, unknown_as: UnknownAs) -> np.ndarray:
     """(height, width) mask of the cells a distance transform measures from."""
     if unknown_as is UnknownAs.OCCUPIED:
-        return grid.cells != CellState.FREE
-    return grid.cells == CellState.OCCUPIED
+        return grid.cells != FREE
+    return grid.cells == OCCUPIED
 
 
 def distance_transform(grid: OccupancyGrid, unknown_as: UnknownAs = UnknownAs.FREE) -> DistanceField:
@@ -421,11 +426,11 @@ def integrate_scan(known: OccupancyGrid, scan: LaserScan) -> OccupancyGrid:
     if scan.world.cells.shape != known.cells.shape:
         raise ValidationError(f"scan grid does not match the grid's {known.cells.shape}")
     new = np.array(known.cells)
-    occupied = scan.world.cells == CellState.OCCUPIED
-    if (new != CellState.UNKNOWN).all() and (new[occupied] == CellState.OCCUPIED).all():
+    occupied = scan.world.cells == OCCUPIED
+    if (new != UNKNOWN).all() and (new[occupied] == OCCUPIED).all():
         return known.with_cells(new)
-    new[scan.seen & (new == CellState.UNKNOWN)] = CellState.FREE
-    new[scan.hit] = CellState.OCCUPIED
+    new[scan.seen & (new == UNKNOWN)] = FREE
+    new[scan.hit] = OCCUPIED
     return known.with_cells(new)
 
 
@@ -447,7 +452,7 @@ def mask_unknown_region(grid: OccupancyGrid, rect) -> OccupancyGrid:
     in_y = (cy >= ry) & (cy <= ry + rh)
     mask = np.outer(in_y, in_x)
     new = np.array(grid.cells)
-    new[mask] = CellState.UNKNOWN
+    new[mask] = UNKNOWN
     return grid.with_cells(new)
 
 
@@ -491,9 +496,9 @@ def load_grid(path) -> OccupancyGrid:
     if len(head) != 6 or head[0] != "grid":
         raise ParseError("expected header 'grid <w> <h> <res> <ox> <oy>'", path=path, line=1)
     try:
-        w, h = int(head[1]), int(head[2])
-        res = float(head[3])
-        origin = (float(head[4]), float(head[5]))
+        w, h = finite(head[1], int), finite(head[2], int)
+        res = finite(head[3])
+        origin = (finite(head[4]), finite(head[5]))
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}", path=path, line=1)
     if w < 0 or h < 0:

@@ -5,8 +5,9 @@ fusing the scan can change the sensed map: while it has Unknown cells or lacks
 an obstacle of the truth), stamp agents, refresh the distance fields (the
 sensed field is rebuilt only when the tick map changed; with agents it is also
 the ground-truth field while the sensed map equals the truth), refresh the
-global reference, plan locally, clamp the command, integrate physics in
-sub-steps, and log one record.
+global reference, plan locally toward one local goal (the reference end with
+its last segment's heading, or the trial goal at the path end), clamp the
+command, integrate physics in sub-steps, and log one record.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from numpy import array_equal
 
-from .errors import NoPathError, ParseError, PlanInputError, ValidationError
+from .errors import NoPathError, ParseError, PlanInputError, ValidationError, keyed_lines
 # Call-site contract: run_trial calls these names as module globals (raycast
 # first in each tick, LogRecord last), so wrapping a global here sees each call.
 from .global_planner import extract_local_reference, plan_global
@@ -43,7 +44,6 @@ class TrialConfig:
     goal_pos_tol: float = 0.1
     goal_yaw_tol: float = 0.25
     timeout: float = 300.0
-    seed: int = 0
     compute_cost_mode: str = "wallclock"  # or "iterations"
     recovery_budget: int = 25             # consecutive infeasible ticks allowed
     local_map_side: float = 5.5
@@ -171,13 +171,9 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
             path_end = global_path.points[-1]
             if math.hypot(ref_end[0] - path_end[0], ref_end[1] - path_end[1]) <= 1e-9:
                 req_goal = tuple(goal)
-            else:
-                if len(ref.points) >= 2:
-                    a = ref.points[-2]
-                    heading = math.atan2(ref_end[1] - a[1], ref_end[0] - a[0])
-                else:
-                    heading = robot.theta
-                req_goal = (ref_end[0], ref_end[1], heading)
+            else:  # a one-point reference starts at the path end
+                a = ref.points[-2]
+                req_goal = (*ref_end, math.atan2(ref_end[1] - a[1], ref_end[0] - a[0]))
             req = LocalPlanRequest(local_map, local_field, robot, ref, req_goal,
                                    limits, cfg.control_period,
                                    d_safe=cfg.d_safe, goal_tol=cfg.goal_pos_tol)
@@ -219,7 +215,6 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         "scenario": scenario.name,
         "planner": planner_name,
         "pair": pair_index,
-        "seed": cfg.seed,
         "cost_mode": cfg.compute_cost_mode,
         "control_period": cfg.control_period,
         "physics_dt": cfg.physics_dt,
@@ -242,23 +237,17 @@ def parse_suite(path) -> list[tuple[str, str]]:
     entries = []
     group = None
     directory = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f.read().splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if key == "group":
-                if rest not in SUITE_GROUPS:
-                    raise ParseError(f"unknown group {rest!r}", path=path, line=ln)
-                group = rest
-            elif key == "scene":
-                if group is None:
-                    raise ParseError("scene before any group line", path=path, line=ln)
-                entries.append((group, os.path.join(directory, rest)))
-            else:
-                raise ParseError(f"unknown suite key {key!r}", path=path, line=ln)
+    for ln, key, rest in keyed_lines(path):
+        if key == "group":
+            if rest not in SUITE_GROUPS:
+                raise ParseError(f"unknown group {rest!r}", path=path, line=ln)
+            group = rest
+        elif key == "scene":
+            if group is None:
+                raise ParseError("scene before any group line", path=path, line=ln)
+            entries.append((group, os.path.join(directory, rest)))
+        else:
+            raise ParseError(f"unknown suite key {key!r}", path=path, line=ln)
     if not entries:
         raise ParseError("suite manifest lists no scenes", path=path)
     return entries

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import typing
 
-from ..errors import ParseError, ValidationError
+from ..errors import ParseError, ValidationError, finite, keyed_lines
 from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
-                     forward_simulate, recovery_output, reference_target,
-                     score_components, terminal_output, trajectory_min_clearance)
+                     forward_simulate, recovery_output, score_components,
+                     terminal_output, trajectory_min_clearance)
 from .dwa import DwaConfig, dwa_plan, dynamic_window
 from .teb import BandProblem, TebConfig, optimize_band, teb_plan
 
@@ -25,30 +25,23 @@ def plan(name: str, req: LocalPlanRequest, cfg=None) -> PlannerOutput:
 
 def load_planner_config(path, name: str):
     """Parse a `.cfg` file of `key value` lines into a planner config; each
-    value is parsed as its field's declared type.  Unknown and repeated keys,
-    and values that break the config's invariants, raise `ParseError`."""
+    value is parsed as its field's declared type and must be finite.  Unknown
+    and repeated keys, and values that break the config's invariants, raise
+    `ParseError`."""
     cls = CONFIGS.get(name)
     if cls is None:
         raise ValueError(f"unknown planner {name!r}")
     types = typing.get_type_hints(cls)
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f.read().splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected 'key value'", path=path, line=ln)
-            key, raw = parts
-            if key not in types:
-                raise ParseError(f"unknown {name} config key {key!r}", path=path, line=ln)
-            if key in values:
-                raise ParseError(f"{name} config key {key!r} given twice", path=path, line=ln)
-            try:
-                values[key] = types[key](raw)
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=ln)
+    for ln, key, raw in keyed_lines(path, once=types):
+        if len(raw.split()) != 1:
+            raise ParseError("expected 'key value'", path=path, line=ln)
+        if key not in types:
+            raise ParseError(f"unknown {name} config key {key!r}", path=path, line=ln)
+        try:
+            values[key] = finite(raw, types[key])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=ln)
     try:
         return cls(**values)
     except ValidationError as exc:

@@ -25,7 +25,9 @@ class PlannerStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LocalPlanRequest:
-    """Everything a local planner sees for one control cycle."""
+    """Everything a local planner sees for one control cycle: `reference` is
+    the path to follow, and `goal` is the pose the planners aim at (the run
+    loop's lookahead on `reference`, or the trial goal at the path end)."""
 
     local_map: OccupancyGrid
     local_field: DistanceField
@@ -59,21 +61,6 @@ class PlannerOutput:
         if mode == "iterations":
             return float(self.iterations)
         raise ValueError(f"unknown compute-cost mode {mode!r}")
-
-
-def reference_target(req: LocalPlanRequest) -> tuple[float, float, float]:
-    """Lookahead point: the end of the local reference with its heading (the
-    goal heading when the reference is a single point)."""
-    pts = req.reference.points
-    if not pts:
-        raise PlanInputError("empty reference path")
-    tx, ty = pts[-1]
-    if len(pts) >= 2:
-        ax, ay = pts[-2]
-        th = math.atan2(ty - ay, tx - ax)
-    else:
-        th = req.goal[2]
-    return (tx, ty, th)
 
 
 def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np.ndarray:
@@ -156,8 +143,8 @@ _hypot = _elementwise(math.hypot)
 
 
 def _bearing(req: LocalPlanRequest, x, y):
-    """Bearing from (x, y) to the lookahead, or its heading when on it."""
-    tx, ty, tth = reference_target(req)
+    """Bearing from (x, y) to the local goal, or its heading when on it."""
+    tx, ty, tth = req.goal
     dx, dy = tx - x, ty - y
     return np.where(_hypot(dx, dy) < 1e-9, tth, _atan2(dy, dx))
 
@@ -171,10 +158,9 @@ def score_components(trajectory, req: LocalPlanRequest) -> Scores:
     """(heading, clearance, velocity) scores of each (..., n, 4) trajectory,
     each normalized to [0, 1].
 
-    heading: alignment of the final pose with the bearing to the reference
-    lookahead; clearance: min clearance capped at d_safe; velocity: the
-    rollout speed recovered from the first chord and heading change,
-    normalized by v_max.
+    heading: alignment of the final pose with the bearing to the local goal;
+    clearance: min clearance capped at d_safe; velocity: the rollout speed
+    recovered from the first chord and heading change, normalized by v_max.
     """
     traj = _trajectories(trajectory)
     if traj.shape[-2] == 0:
@@ -213,7 +199,7 @@ def _hold_output(req: LocalPlanRequest, omega: float, t_start: float,
 
 
 def recovery_output(req: LocalPlanRequest, t_start: float, iterations: int) -> PlannerOutput:
-    """Rotate in place toward the reference heading at omega_max / 2; stop
+    """Rotate in place toward the local goal at omega_max / 2; stop
     entirely if the current pose is already in collision."""
     r = req.robot
     if float(sample_field(req.local_field, r.x, r.y)) < req.limits.radius:

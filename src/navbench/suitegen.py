@@ -12,11 +12,11 @@ from scipy import ndimage
 
 from .errors import NoPathError, PlanInputError, ValidationError
 from .global_planner import plan_global, segments_clear
-from .gridmap import CellState, OccupancyGrid, distance_transform, mask_unknown_region
+from .gridmap import FREE, OCCUPIED, OccupancyGrid, distance_transform, mask_unknown_region
+from .robot import KinematicLimits
 from .world import DynamicAgent, Scenario, save_scenario
 from .worldgen import WorldParams, generate_world
 
-ROBOT_RADIUS = 0.17
 PAIR_CLEARANCE = 0.35
 
 
@@ -28,7 +28,6 @@ def _path_crosses(path, rect) -> bool:
 def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
                   min_euclid: float, max_path: float,
                   clearance: float = PAIR_CLEARANCE,
-                  radius: float = ROBOT_RADIUS,
                   require_rect=None, avoid_rect_start=False):
     """Deterministically sample n validated start/goal pose pairs.
 
@@ -36,8 +35,8 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
     yaw is always reachable along the approach direction.
     """
     field = distance_transform(grid)
-    eligible = (grid.cells == CellState.FREE) & (field.values >= clearance)
-    labels, _ = ndimage.label(grid.cells != CellState.OCCUPIED,
+    eligible = (grid.cells == FREE) & (field.values >= clearance)
+    labels, _ = ndimage.label(grid.cells != OCCUPIED,
                               structure=np.ones((3, 3), dtype=int))
     cand = np.argwhere(eligible)
     if len(cand) < 2:
@@ -64,7 +63,7 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
             if rx <= s[0] <= rx + rw and ry <= s[1] <= ry + rh:
                 continue
         try:
-            path = plan_global(grid, s, g, radius, field=field)
+            path = plan_global(grid, s, g, KinematicLimits.radius, field=field)
         except (NoPathError, PlanInputError):
             continue
         if path.cumulative_length > max_path or len(path.points) < 2:
@@ -88,7 +87,7 @@ def propose_agent_routes(grid: OccupancyGrid, n_agents: int, seed: int, pairs, *
     """Straight back-and-forth walking routes with clearance for the disc and
     distance from every trial start so the robot never spawns inside one."""
     field = distance_transform(grid)
-    eligible = (grid.cells == CellState.FREE) & (field.values >= radius + 0.15)
+    eligible = (grid.cells == FREE) & (field.values >= radius + 0.15)
     cand = np.argwhere(eligible)
     rng = np.random.default_rng(seed)
     keepout = [(s[0], s[1]) for s, _ in pairs]

@@ -6,7 +6,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .gridmap import CellState
+from .gridmap import OCCUPIED, UNKNOWN
 
 VIEW_W = 800.0
 
@@ -53,8 +53,8 @@ def emit_trajectory_svg(result, path) -> None:
              f'<title>{escape(result.scenario_name)} / {escape(result.planner)} '
              f'/ pair {result.pair_index}</title>',
              f'<rect width="100%" height="100%" fill="white"/>']
-    parts += _cell_rects(prior, CellState.UNKNOWN, "#cccccc", scale, view_h)
-    parts += _cell_rects(grid, CellState.OCCUPIED, "#333333", scale, view_h)
+    parts += _cell_rects(prior, UNKNOWN, "#cccccc", scale, view_h)
+    parts += _cell_rects(grid, OCCUPIED, "#333333", scale, view_h)
 
     for agent in result.scenario.agents:
         parts.append(_polyline(agent.waypoints, "#d07000", 2, scale, view_h,

@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import ParseError, ValidationError
-from .gridmap import (CellState, OccupancyGrid, ScanSpec, UnknownAs,
-                      distance_at, distance_transform, load_grid,
+from .errors import ParseError, ValidationError, finite, keyed_lines
+from .gridmap import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, ScanSpec,
+                      UnknownAs, distance_at, distance_transform, load_grid,
                       mask_unknown_region, save_grid)
+from .robot import KinematicLimits
 
 AGENT_MODES = ("loop", "ping_pong")
 
@@ -123,7 +124,7 @@ def stamp_agents(grid: OccupancyGrid, agents) -> OccupancyGrid:
         dy = cy[:, None] - py
         inside = dx * dx + dy * dy <= a.radius * a.radius
         block = new[iy0:iy1 + 1, ix0:ix1 + 1]
-        block[inside] = CellState.OCCUPIED
+        block[inside] = OCCUPIED
     return grid.with_cells(new)
 
 
@@ -150,23 +151,24 @@ class Scenario:
 
     @property
     def has_unknown_prior(self) -> bool:
-        return bool((self.prior_map.cells == CellState.UNKNOWN).any())
+        return bool((self.prior_map.cells == UNKNOWN).any())
 
-    def validate(self, radius: float = 0.17) -> None:
-        """Enforce the scenario invariants; raises ValidationError."""
+    def validate(self) -> None:
+        """Enforce the scenario invariants for a robot of `KinematicLimits`'
+        radius; raises ValidationError."""
         if not self.start_goal_pairs:
             raise ValidationError("scenario has no start/goal pairs")
         field_ = distance_transform(self.map, UnknownAs.FREE)
-        free = self.map.cells != CellState.OCCUPIED
+        free = self.map.cells != OCCUPIED
         labels, _ = ndimage.label(free, structure=np.ones((3, 3), dtype=int))
         for k, (s, g) in enumerate(self.start_goal_pairs):
             for tag, pose in (("start", s), ("goal", g)):
                 x, y = pose[0], pose[1]
                 if not self.map.contains(x, y):
                     raise ValidationError(f"pair {k}: {tag} outside map")
-                if self.map.state_at(x, y) != CellState.FREE:
+                if self.map.state_at(x, y) != FREE:
                     raise ValidationError(f"pair {k}: {tag} not free")
-                if distance_at(field_, x, y) < radius:
+                if distance_at(field_, x, y) < KinematicLimits.radius:
                     raise ValidationError(f"pair {k}: {tag} clearance below robot radius")
             si = self.map.cell_index(s[0], s[1])
             gi = self.map.cell_index(g[0], g[1])
@@ -203,10 +205,9 @@ def save_scenario(scn: Scenario, path, map_filename: str | None = None) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def load_scenario(path, radius: float = 0.17) -> Scenario:
-    """Parse and fully validate a .scene file."""
-    with open(path, "r", encoding="utf-8") as f:
-        raw = f.read().splitlines()
+def load_scenario(path) -> Scenario:
+    """Parse and fully validate a .scene file; a scene that parses but breaks
+    an invariant raises ValidationError naming the file."""
     directory = os.path.dirname(os.path.abspath(path))
     name = None
     grid = None
@@ -214,33 +215,23 @@ def load_scenario(path, radius: float = 0.17) -> Scenario:
     pairs = []
     agents = []
     scan = ScanSpec()
-    seen = set()  # the keys that may appear only once
 
     def fail(msg, ln):
         raise ParseError(msg, path=path, line=ln)
 
-    for ln, line in enumerate(raw, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key in ("name", "map", "scan"):
-            if key in seen:
-                fail(f"scene key {key!r} given twice", ln)
-            seen.add(key)
+    for ln, key, rest in keyed_lines(path, once=("name", "map", "scan")):
         try:
             if key == "name":
                 name = rest
             elif key == "map":
                 grid = load_grid(os.path.join(directory, rest))
             elif key == "mask":
-                vals = [float(v) for v in rest.split()]
+                vals = [finite(v) for v in rest.split()]
                 if len(vals) != 4:
                     fail("mask needs 4 values: x y w h", ln)
                 masks.append(tuple(vals))
             elif key == "pair":
-                vals = [float(v) for v in rest.split()]
+                vals = [finite(v) for v in rest.split()]
                 if len(vals) != 6:
                     fail("pair needs 6 values: sx sy sth gx gy gth", ln)
                 pairs.append((tuple(vals[:3]), tuple(vals[3:])))
@@ -248,21 +239,19 @@ def load_scenario(path, radius: float = 0.17) -> Scenario:
                 parts = rest.split()
                 if len(parts) < 7 or len(parts) % 2 == 0:
                     fail("agent needs: radius speed mode x1 y1 x2 y2 [...]", ln)
-                radius_a, speed = float(parts[0]), float(parts[1])
+                radius_a, speed = finite(parts[0]), finite(parts[1])
                 mode = parts[2]
-                coords = [float(v) for v in parts[3:]]
+                coords = [finite(v) for v in parts[3:]]
                 wps = list(zip(coords[::2], coords[1::2]))
                 agents.append(DynamicAgent(radius_a, speed, tuple(wps), mode))
             elif key == "scan":
-                vals = [float(v) for v in rest.split()]
+                vals = [finite(v) for v in rest.split()]
                 if len(vals) != 5:
                     fail("scan needs: amin_deg amax_deg incr_deg rmin rmax", ln)
                 scan = ScanSpec(math.radians(vals[0]), math.radians(vals[1]),
                                 math.radians(vals[2]), vals[3], vals[4])
             else:
                 fail(f"unknown scene key {key!r}", ln)
-        except ParseError:
-            raise
         except (ValueError, ValidationError) as exc:
             fail(str(exc), ln)
 
@@ -270,11 +259,14 @@ def load_scenario(path, radius: float = 0.17) -> Scenario:
         raise ParseError("scene file has no 'name' line", path=path)
     if grid is None:
         raise ParseError("scene file has no 'map' line", path=path)
-    prior = grid
-    for m in masks:
-        prior = mask_unknown_region(prior, m)
-    scn = Scenario(name=name, map=grid, prior_map=prior,
-                   start_goal_pairs=tuple(pairs), agents=tuple(agents),
-                   scan_spec=scan, masks=tuple(masks))
-    scn.validate(radius=radius)
+    try:
+        prior = grid
+        for m in masks:
+            prior = mask_unknown_region(prior, m)
+        scn = Scenario(name=name, map=grid, prior_map=prior,
+                       start_goal_pairs=tuple(pairs), agents=tuple(agents),
+                       scan_spec=scan, masks=tuple(masks))
+        scn.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return scn

@@ -13,12 +13,9 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ValidationError
-from .gridmap import CellState, OccupancyGrid
+from .gridmap import FREE, OCCUPIED, OccupancyGrid
 
 WORLD_KINDS = ("office", "maze", "corridor_u", "corridor_acute", "open_room")
-
-FREE = int(CellState.FREE)
-OCC = int(CellState.OCCUPIED)
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,10 @@ def _bordered(params: WorldParams, fill=FREE) -> np.ndarray:
     if nx < 5 or ny < 5:
         raise ValidationError("world too small for a bordered map")
     cells = np.full((ny, nx), fill, dtype=np.uint8)
-    cells[0, :] = OCC
-    cells[-1, :] = OCC
-    cells[:, 0] = OCC
-    cells[:, -1] = OCC
+    cells[0, :] = OCCUPIED
+    cells[-1, :] = OCCUPIED
+    cells[:, 0] = OCCUPIED
+    cells[:, -1] = OCCUPIED
     return cells
 
 
@@ -101,14 +98,14 @@ def _office(params: WorldParams, seed: int) -> np.ndarray:
         if vertical:
             wx = rng.randrange(x0 + min_room, x1 - min_room)
             gap0 = rng.randrange(y0, y1 - door + 1)
-            cells[y0:y1, wx] = OCC
+            cells[y0:y1, wx] = OCCUPIED
             cells[gap0:gap0 + door, wx] = FREE
             split(x0, y0, wx, y1, depth + 1)
             split(wx + 1, y0, x1, y1, depth + 1)
         else:
             wy = rng.randrange(y0 + min_room, y1 - min_room)
             gap0 = rng.randrange(x0, x1 - door + 1)
-            cells[wy, x0:x1] = OCC
+            cells[wy, x0:x1] = OCCUPIED
             cells[wy, gap0:gap0 + door] = FREE
             split(x0, y0, x1, wy, depth + 1)
             split(x0, wy + 1, x1, y1, depth + 1)
@@ -121,8 +118,8 @@ def _office(params: WorldParams, seed: int) -> np.ndarray:
         bx = rng.randrange(2, params.nx - 2 - bw)
         by = rng.randrange(2, params.ny - 2 - bh)
         patch = cells[by:by + bh, bx:bx + bw].copy()
-        cells[by:by + bh, bx:bx + bw] = OCC
-        free = cells != OCC
+        cells[by:by + bh, bx:bx + bw] = OCCUPIED
+        free = cells != OCCUPIED
         _, count = ndimage.label(free, structure=np.ones((3, 3), dtype=int))
         if count != 1:  # block would split the free space; revert
             cells[by:by + bh, bx:bx + bw] = patch
@@ -140,7 +137,7 @@ def _maze(params: WorldParams, seed: int) -> np.ndarray:
         raise ValidationError("maze extent too small for passage width")
     nx = mx * pitch + wall
     ny = my * pitch + wall
-    cells = np.full((ny, nx), OCC, dtype=np.uint8)
+    cells = np.full((ny, nx), OCCUPIED, dtype=np.uint8)
 
     rng = random.Random(seed)
     visited = np.zeros((my, mx), dtype=bool)
@@ -189,14 +186,14 @@ def _corridor_u(params: WorldParams, seed: int) -> np.ndarray:
     ny = legs * p + (legs - 1) + 2
     nx = params.nx
     cells = np.full((ny, nx), FREE, dtype=np.uint8)
-    cells[0, :] = OCC
-    cells[-1, :] = OCC
-    cells[:, 0] = OCC
-    cells[:, -1] = OCC
+    cells[0, :] = OCCUPIED
+    cells[-1, :] = OCCUPIED
+    cells[:, 0] = OCCUPIED
+    cells[:, -1] = OCCUPIED
     chamfer = max(1, int(round(p / 5)))
     for k in range(legs - 1):
         wy = 1 + p + k * (p + 1)
-        cells[wy, 1:nx - 1] = OCC
+        cells[wy, 1:nx - 1] = OCCUPIED
         if k % 2 == 0:
             cells[wy, nx - 1 - p:nx - 1] = FREE
             tip = nx - 2 - p
@@ -209,7 +206,7 @@ def _corridor_u(params: WorldParams, seed: int) -> np.ndarray:
         for cx, dy in steps:
             for yy in (wy - dy, wy + dy):
                 if 0 < yy < ny - 1 and 0 < cx < nx - 1:
-                    cells[yy, cx] = OCC
+                    cells[yy, cx] = OCCUPIED
     return cells
 
 
@@ -219,7 +216,7 @@ def _corridor_acute(params: WorldParams, seed: int, turn_deg: float = 135.0) -> 
     nx, ny = params.nx, params.ny
     if nx < 5 or ny < 5:
         raise ValidationError("world too small")
-    cells = np.full((ny, nx), OCC, dtype=np.uint8)
+    cells = np.full((ny, nx), OCCUPIED, dtype=np.uint8)
     res = params.resolution
     half = params.passage_width / 2.0
     margin = half + 2 * res

@@ -134,6 +134,16 @@ def test_score_components_contracts(rng):
     assert vel == pytest.approx(0.4 / LIMITS.v_max, rel=1e-9)
 
 
+def test_heading_score_aims_at_the_request_goal():
+    """The heading term scores the bearing to `req.goal`, not to the end of
+    `reference`: here the goal lies north of the robot, the reference east."""
+    req = make_request(robot=RobotState(2.75, 2.75, math.pi / 2), goal=(2.75, 5.0, 0.0))
+    assert req.reference.points[-1] == (5.0, 2.75)
+    traj = forward_simulate(req.robot, 0.4, 0.0, 8, 0.1)
+    h, _, _ = score_components(traj, req)
+    assert h == pytest.approx(1.0)
+
+
 def test_score_components_independent_recompute(rng):
     for _ in range(30):
         req = random_request(rng)
@@ -143,11 +153,10 @@ def test_score_components_independent_recompute(rng):
         h, c, vel = score_components(traj, req)
 
         # from-scratch recomputation of each term
-        tx, ty = req.reference.points[-1]
+        tx, ty, tth = req.goal
         fx, fy, fth = traj[-1, 0], traj[-1, 1], traj[-1, 2]
         if math.hypot(tx - fx, ty - fy) < 1e-9:
-            bearing = math.atan2(req.reference.points[-1][1] - req.reference.points[-2][1],
-                                 req.reference.points[-1][0] - req.reference.points[-2][0])
+            bearing = tth
         else:
             bearing = math.atan2(ty - fy, tx - fx)
         h2 = 1.0 - abs(wrap_angle(bearing - fth)) / math.pi

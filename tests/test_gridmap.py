@@ -443,3 +443,12 @@ def test_grid_file_rejects_a_negative_size(tmp_path, size):
     with pytest.raises(ParseError) as err:
         load_grid(path)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("values", ["nan 0 0", "0.1 inf 0", "0.1 0 -inf"])
+def test_grid_file_rejects_a_non_finite_header_value(tmp_path, values):
+    path = tmp_path / "bad.grid"
+    path.write_text(f"grid 3 2 {values}\n...\n...\n")
+    with pytest.raises(ParseError) as err:
+        load_grid(path)
+    assert err.value.line == 1

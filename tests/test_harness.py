@@ -1,3 +1,4 @@
+import math
 import os
 from collections import Counter
 
@@ -137,3 +138,37 @@ def test_report_uses_the_trial_d_safe(suite, tmp_path):
     assert recomputed.exposure_percent == pytest.approx(result.report.exposure_percent,
                                                         rel=1e-12)
     assert recomputed.exposure_percent > compute_report(log).exposure_percent
+
+
+def test_each_tick_aims_at_one_local_goal(suite, monkeypatch):
+    """The planners aim at `req.goal`: the end of the local reference with its
+    last segment's heading, or the trial goal once the reference reaches the
+    end of the global path (here from tick 18 of 30)."""
+    scn, _ = suite
+    plan_global, plan = harness.plan_global, harness.plan
+    paths, ticks = [], []
+
+    def planning(*args, **kwargs):
+        paths.append(plan_global(*args, **kwargs))
+        return paths[-1]
+
+    def aiming(name, req, cfg=None):
+        ticks.append((paths[-1], req))
+        return plan(name, req, cfg)
+
+    monkeypatch.setattr(harness, "plan_global", planning)
+    monkeypatch.setattr(harness, "plan", aiming)
+    cfg = harness.TrialConfig(compute_cost_mode="iterations",
+                              timeout=30 * CFG.control_period)
+    harness.run_trial(scn, "dwa", 0, cfg)
+    goal = scn.start_goal_pairs[0][1]
+    at_path_end = 0
+    for path, req in ticks:
+        tx, ty = req.reference.points[-1]
+        if (tx, ty) == path.points[-1]:
+            at_path_end += 1
+            assert req.goal == goal
+        else:
+            ax, ay = req.reference.points[-2]
+            assert req.goal == (tx, ty, math.atan2(ty - ay, tx - ax))
+    assert 0 < at_path_end < len(ticks) == 30

@@ -78,7 +78,7 @@ def test_batched_scores_equal_scalar_formulas(rng):
         ww = rng.uniform(-1.0, 1.0, 60)
         trajs = forward_simulate(req.robot, vv, ww, 8, 0.1)
         h, c, vel = score_components(trajs, req)
-        tx, ty = req.reference.points[-1]
+        tx, ty, _ = req.goal
         for b, traj in enumerate(trajs):
             fx, fy, fth = traj[-1, :3]
             bearing = math.atan2(ty - fy, tx - fx)

@@ -260,3 +260,44 @@ def test_scene_parse_error_has_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_scenario(path2)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("line", [
+    "agent 0.2 inf loop 1 1 2 2",            # the trial died in stamp_agents
+    "agent 0.25 0.6 ping_pong 1 nan 2 2",
+    "pair nan 1 0 5 4 0",
+    "mask 2 2 inf 1",
+    "scan -90 90 nan 0.05 8",
+    "scan -90 90 1 0.05 inf",
+])
+def test_non_finite_scene_number_names_path_and_line(tmp_path, line):
+    path = tmp_path / "demo.scene"
+    save_scenario(simple_scenario(), path)
+    lines = path.read_text().splitlines() + [line]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_scenario(path)
+    assert str(err.value).startswith(f"{path}:{len(lines)}: ")
+
+
+@pytest.mark.parametrize("edit, match", [
+    ("mask 20 20 1 1", "does not intersect"),
+    ("pair 0.05 0.05 0 5 4 0", "not free"),
+    ("pair 1 1 0 1 0.16 0", "clearance"),
+    ("wall", "connected"),
+])
+def test_scene_validation_error_names_the_file(tmp_path, edit, match):
+    scn = simple_scenario()
+    if edit == "wall":
+        cells = np.array(scn.map.cells)
+        cells[:, 30] = CellState.OCCUPIED
+        scn = Scenario(name="demo", map=scn.map.with_cells(cells),
+                       prior_map=scn.map.with_cells(cells),
+                       start_goal_pairs=scn.start_goal_pairs)
+    path = tmp_path / "demo.scene"
+    save_scenario(scn, path)
+    if edit != "wall":
+        path.write_text(path.read_text() + edit + "\n")
+    with pytest.raises(ValidationError, match=match) as err:
+        load_scenario(path)
+    assert str(err.value).startswith(f"{path}: ")
