@@ -456,9 +456,12 @@ def mask_unknown_region(grid: OccupancyGrid, rect) -> OccupancyGrid:
     return grid.with_cells(new)
 
 
-def crop_local(grid: OccupancyGrid, center, side: float) -> OccupancyGrid:
-    """Square sub-grid of `side` meters centered at `center`, clamped to the
-    parent bounds; resolution and world alignment are preserved."""
+def crop_local(grid: OccupancyGrid | DistanceField, center, side: float):
+    """Square window of `side` meters centered at `center`, clamped to the
+    parent bounds, of one grid layer: an OccupancyGrid's cells or a
+    DistanceField's values (which keep measuring to obstacles outside the
+    window), as a layer of the same type.  Resolution and world alignment are
+    preserved, so a map and its field give windows over the same cells."""
     if side <= 0:
         raise ValidationError("crop side must be positive")
     cx, cy = center
@@ -468,9 +471,9 @@ def crop_local(grid: OccupancyGrid, center, side: float) -> OccupancyGrid:
     ny = min(n, grid.height)
     x0 = min(max(icx - n // 2, 0), grid.width - nx)
     y0 = min(max(icy - n // 2, 0), grid.height - ny)
-    sub = np.array(grid.cells[y0:y0 + ny, x0:x0 + nx])
+    layer = grid.values if isinstance(grid, DistanceField) else grid.cells
     origin = (grid.origin[0] + x0 * grid.resolution, grid.origin[1] + y0 * grid.resolution)
-    return OccupancyGrid(nx, ny, grid.resolution, origin, sub)
+    return type(grid)(nx, ny, grid.resolution, origin, layer[y0:y0 + ny, x0:x0 + nx])
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,21 @@
 
 Each control tick: sense (one raycast, whose beams are marched only when
 fusing the scan can change the sensed map: while it has Unknown cells or lacks
-an obstacle of the truth), stamp agents, refresh the distance fields (the
-sensed field is rebuilt only when the tick map changed; with agents it is also
-the ground-truth field while the sensed map equals the truth), refresh the
-global reference, plan locally toward one local goal (the reference end with
-its last segment's heading, or the trial goal at the path end), clamp the
-command, integrate physics in sub-steps, and log one record.
+an obstacle of the truth), stamp agents, refresh the sensed field (rebuilt only
+when the tick map changed; it is also the ground-truth field while the sensed
+map equals the truth), refresh the global reference, plan locally toward one
+local goal (the reference end with its last segment's heading, or the trial
+goal at the path end) on a crop of the tick map, clamp the command, integrate
+physics in sub-steps, and log one record (one clearance sample while the two
+fields are one).
+
+The local field is the window of the sensed field over the crop, unless the
+crop holds Unknown cells; then it is the crop's own transform with Unknown as
+Occupied.  A window differs from the crop's transform only where the nearest
+obstacle lies outside the crop, and there both exceed the distance to the
+crop's edge: over 1.6 m wherever DWA's rollouts (under 0.9 m from the robot)
+and their stencils read, above the default d_safe cap (0.34 m) and the radius
+checks of both planners, so the plans are the same.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .errors import NoPathError, ParseError, PlanInputError, ValidationError, ke
 # Call-site contract: run_trial calls these names as module globals (raycast
 # first in each tick, LogRecord last), so wrapping a global here sees each call.
 from .global_planner import extract_local_reference, plan_global
-from .gridmap import (UnknownAs, crop_local, distance_at_clamped,
+from .gridmap import (UNKNOWN, UnknownAs, crop_local, distance_at_clamped,
                       distance_transform, integrate_scan, raycast)
 from .local_planners import CONFIGS, LocalPlanRequest, PlannerStatus, plan
 from .metrics import (LogRecord, MetricsConfig, MetricsReport, NavLog, Outcome,
@@ -50,15 +59,13 @@ class TrialConfig:
     d_safe: float = 0.34
 
     def __post_init__(self):
-        if self.control_period <= 0 or self.physics_dt <= 0:
-            raise ValidationError("periods must be positive")
+        for name in ("control_period", "physics_dt", "goal_pos_tol", "goal_yaw_tol",
+                     "timeout", "local_map_side", "d_safe"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails both
+                raise ValidationError(f"{name} must be positive and finite")
         k = round(self.control_period / self.physics_dt)
         if k < 1 or abs(k * self.physics_dt - self.control_period) > 1e-9:
             raise ValidationError("physics_dt must divide control_period")
-        if self.goal_pos_tol <= 0 or self.goal_yaw_tol <= 0 or self.timeout <= 0:
-            raise ValidationError("tolerances and timeout must be positive")
-        if not 0 < self.d_safe < math.inf:
-            raise ValidationError("d_safe must be positive and finite")
         if self.compute_cost_mode not in ("wallclock", "iterations"):
             raise ValidationError("compute_cost_mode must be wallclock or iterations")
 
@@ -141,7 +148,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         if field_map is None or not array_equal(tick_map.cells, field_map.cells):
             sensed_field = distance_transform(tick_map, UnknownAs.FREE)
             field_map = tick_map
-        if agents and array_equal(sensed.cells, truth.cells):
+        if array_equal(sensed.cells, truth.cells):
             truth_field = sensed_field  # stamped truth == tick_map, its source
         elif agents:
             truth_field = distance_transform(stamp_agents(truth, agents), UnknownAs.FREE)
@@ -164,7 +171,10 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
             infeasible = True
         else:
             local_map = crop_local(tick_map, (robot.x, robot.y), cfg.local_map_side)
-            local_field = distance_transform(local_map, UnknownAs.OCCUPIED)
+            if (local_map.cells == UNKNOWN).any():
+                local_field = distance_transform(local_map, UnknownAs.OCCUPIED)
+            else:
+                local_field = crop_local(sensed_field, (robot.x, robot.y), cfg.local_map_side)
             ref = extract_local_reference(global_path, (robot.x, robot.y),
                                           cfg.local_map_side / 2.0)
             ref_end = ref.points[-1]
@@ -191,7 +201,8 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         t += cfg.control_period
 
         d = distance_at_clamped(sensed_field, robot.x, robot.y)
-        d_true = distance_at_clamped(truth_field, robot.x, robot.y)
+        d_true = (d if truth_field is sensed_field
+                  else distance_at_clamped(truth_field, robot.x, robot.y))
         records.append(LogRecord(t, robot.x, robot.y, robot.theta,
                                  robot.v, robot.omega, d, c_val, d_true=d_true))
 

@@ -27,7 +27,10 @@ class PlannerStatus(enum.Enum):
 class LocalPlanRequest:
     """Everything a local planner sees for one control cycle: `reference` is
     the path to follow, and `goal` is the pose the planners aim at (the run
-    loop's lookahead on `reference`, or the trial goal at the path end)."""
+    loop's lookahead on `reference`, or the trial goal at the path end).
+    `local_field` covers `local_map`: the run loop passes the window of its
+    sensed field over the crop, or the crop's own transform with Unknown as
+    Occupied when the crop holds Unknown cells."""
 
     local_map: OccupancyGrid
     local_field: DistanceField
@@ -72,8 +75,9 @@ def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np
     The chained `arc_step`s are running sums (`np.add.accumulate`, which adds
     in order): headings from theta0 over the turns, positions from (x0, y0)
     over the chord increments.  `wrap_angle` returns |theta| < pi unchanged,
-    so poses equal the chained steps bit for bit; a rollout with any heading,
-    theta0 included, at |theta| >= pi is redone wrapping after every step.
+    and pi itself, so poses equal the chained steps bit for bit once each
+    heading after theta0 outside (-pi, pi] is wrapped and the later turns are
+    re-added to it: one pass per wrap over the rollouts that still have one.
     """
     v, omega = np.broadcast_arrays(v, omega)
     half, chord, turn = arc_terms(v, omega, dt)
@@ -83,12 +87,26 @@ def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np
     th[..., 0] = state.theta
     th[..., 1:] = turn[..., None]
     np.add.accumulate(th, axis=-1, out=th)
-    redo = (np.abs(th) >= math.pi).any(axis=-1)
+    redo = (np.abs(th[..., 1:]) >= math.pi).any(axis=-1)  # may wrap
     if redo.any():  # a 0-d mask indexes as one rollout
-        wrapped, turns = th[redo], np.broadcast_to(turn, redo.shape)[redo]
-        for k in range(1, n_steps + 1):
-            wrapped[:, k] = wrap_angle(wrapped[:, k - 1] + turns)
-        th[redo] = wrapped
+        rows, turns = th[redo], np.broadcast_to(turn, redo.shape)[redo]
+        cols = np.arange(n_steps + 1)
+        done = np.zeros(len(rows), dtype=np.intp)  # per rollout: its last wrapped column
+        live = np.arange(len(rows))
+        while True:  # wrap the next heading outside (-pi, pi] of each live rollout
+            cur = rows[live]
+            over = ((cur > math.pi) | (cur <= -math.pi)) & (cols > done[live, None])
+            has = over.any(axis=-1)
+            if not has.any():
+                break
+            live, cur, k = live[has], cur[has], over[has].argmax(axis=-1)
+            at_k = (np.arange(live.size), k)
+            seq = np.where(cols > k[:, None], turns[live, None], 0.0)
+            seq[at_k] = wrap_angle(cur[at_k])
+            np.add.accumulate(seq, axis=-1, out=seq)
+            rows[live] = np.where(cols >= k[:, None], seq, cur)
+            done[live] = k
+        th[redo] = rows
     for col, (start, trig) in enumerate(((state.x, np.cos), (state.y, np.sin))):
         pos = out[..., col]
         pos[..., 0] = start

@@ -4,6 +4,7 @@ import pytest
 
 from navbench import cli
 from navbench.metrics import LogRecord, NavLog, Outcome, write_log_csv
+from navbench.suitegen import propose_pairs
 from navbench.world import Scenario, save_scenario
 from navbench.worldgen import WorldParams, generate_world
 
@@ -112,3 +113,20 @@ def test_validate_rejects_a_repeated_singleton_key(tmp_path, capsys, key, value)
     assert cli.main(["validate", "--scene", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{len(lines) + 2}: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("flag, value", [("--timeout", "inf"), ("--timeout", "nan"),
+                                         ("--control-period", "nan")])
+def test_trial_with_a_non_finite_period_is_an_error(tmp_path, capsys, flag, value):
+    grid = generate_world("office", WorldParams(7.0, 6.0, clutter=2), seed=3)
+    scene = tmp_path / "small.scene"
+    pairs = propose_pairs(grid, 1, seed=5, min_euclid=3.0, max_path=9.0)
+    save_scenario(Scenario(name="small", map=grid, prior_map=grid, start_goal_pairs=pairs),
+                  str(scene))
+    out_dir = tmp_path / "out"
+    assert cli.main(["trial", "--scene", str(scene), "--planner", "dwa",
+                     flag, value, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag[2:].replace("-", "_") in err
+    assert not out_dir.exists()

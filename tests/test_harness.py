@@ -122,6 +122,19 @@ def test_trial_config_rejects_a_d_safe_that_is_not_positive_and_finite(d_safe):
         harness.TrialConfig(d_safe=d_safe)
 
 
+@pytest.mark.parametrize("field, value", [
+    (field, value)
+    for field in ("control_period", "physics_dt", "timeout", "goal_pos_tol", "goal_yaw_tol",
+                  "local_map_side")
+    for value in (float("nan"), float("inf"), -float("inf"))
+] + [("local_map_side", 0.0), ("local_map_side", -1.0), ("timeout", 0.0)])
+def test_trial_config_rejects_a_value_that_is_not_positive_and_finite(field, value):
+    """A NaN passes every `<= 0` check, and an infinite timeout or period
+    overflows the tick count: each is a ValidationError naming the field."""
+    with pytest.raises(ValidationError, match=field):
+        harness.TrialConfig(**{field: value})
+
+
 def test_report_uses_the_trial_d_safe(suite, tmp_path):
     """`bench report` recomputes p_o with the d_safe the trial ran with.  The
     robot keeps 0.6-1.4 m of clearance here, so d_safe=1.0 makes p_o differ

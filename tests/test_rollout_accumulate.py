@@ -92,6 +92,53 @@ def test_heading_landing_on_minus_pi_wraps_to_pi():
                 assert same_bits(batch[1], traj)
 
 
+WRAP_THETA0 = [math.pi, -math.pi, 4.0, -4.0, 7.5, -3.5 * math.pi]
+# turns of up to 0.1, 4 and 7 rad a step: the last two wrap a rollout many times
+WRAP_LATTICES = [lattice(), lattice(-40.0, 40.0), lattice(-70.0, 70.0)]
+
+
+def chained_wraps(state, vs, ws):
+    """Per rollout, how many of its chained steps' headings `wrap_angle` changed."""
+    th = chained(arc_step, state, vs, ws)[..., 2]
+    pre = th[..., :-1] + (ws * DT)[..., None]
+    return ((pre > math.pi) | (pre <= -math.pi)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("theta", WRAP_THETA0)
+def test_wrapping_rollouts_equal_chained_arc_steps(theta):
+    """theta0 at +-pi or beyond, and rollouts that wrap more than once."""
+    state = RobotState(13.51, -6.62, theta)
+    for vs, ws in WRAP_LATTICES:
+        batch = forward_simulate(state, vs, ws, N_STEPS, DT)
+        assert same_bits(batch, chained(arc_step, state, vs, ws))
+        assert same_bits(batch, chained(formula_arc_step, state, vs, ws))
+    assert chained_wraps(state, *WRAP_LATTICES[-1]).max() > 1
+
+
+@pytest.mark.parametrize("theta", WRAP_THETA0)
+def test_one_wrapping_pass_per_wrap(monkeypatch, theta):
+    """Pass j wraps one heading of each rollout with at least j wraps; a
+    heading of exactly pi is not wrapped, so theta0 = pi with no turn takes
+    no pass."""
+    passes = []
+    wrap = common.wrap_angle
+
+    def counting(th):
+        passes.append(np.size(th))
+        return wrap(th)
+
+    monkeypatch.setattr(common, "wrap_angle", counting)
+    state = RobotState(0.5, 0.25, theta)
+    for vs, ws in WRAP_LATTICES + [(np.zeros(3), np.zeros(3))]:
+        passes.clear()
+        forward_simulate(state, vs, ws, N_STEPS, DT)
+        wraps = chained_wraps(state, vs, ws)
+        assert passes == [int((wraps >= j).sum()) for j in range(1, wraps.max() + 1)]
+    passes.clear()
+    still = forward_simulate(RobotState(0.0, 0.0, math.pi), 0.3, 0.0, N_STEPS, DT)
+    assert passes == [] and (still[:, 2] == math.pi).all()
+
+
 @pytest.mark.parametrize("theta", THETA0)
 def test_small_and_special_turn_rates(theta):
     state = RobotState(-2.25, 7.125, theta)
