@@ -6,10 +6,23 @@ cell) cached per grid shape; a call only prices its edges, blocked cells at
 +inf.  The path is extracted by steepest descent with deterministic
 tie-breaking and smoothed by greedy shortcuts, tried by `segments_clear`: the
 one straight-segment clearance check, which the suite generator and TEB share.
+
+A replan given the previous path redoes only the search its changes require.
+If the grid, field, goal and radius are those of the previous search and its
+labels reach the start cell, they are reused as they are.  Otherwise the
+previous descent cells, re-priced from the goal outward as a path from the
+start cell, bound the start's label, and Dijkstra stops at that bound.  Both
+give the path a full search gives, bit for bit: a label is the least
+left-fold sum of the same float weights over all paths, and fl(a + w) is
+monotone in a, so a re-priced path costs at least the start's label;
+scipy's `limit` is inclusive, so every cell whose label is at most the
+start's keeps it exactly and every other cell reads +inf; and the descent
+reads only labels below the current cell's, so none above the start's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -29,12 +42,30 @@ W_OBS = 5.0
 UNKNOWN_STEP_PENALTY = 2.0  # multiples of the resolution, per unknown cell
 SHORTCUT_LOOKAHEAD = 40  # vertices ahead of a kept vertex tried as shortcuts
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+_SLOT = {d: k for k, d in enumerate(_NEIGHBORS)}
+
+
+@dataclass(frozen=True, eq=False)
+class _Search:
+    """The cost-to-go search a path descended: `labels` toward the `goal`
+    cell at `radius` over `grid` and `field` (exact wherever they are finite),
+    and the descent's cells from the start cell to the goal cell."""
+    labels: np.ndarray
+    grid: OccupancyGrid
+    field: DistanceField
+    goal: tuple[int, int]
+    radius: float
+    cells: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class GlobalPath:
+    """A polyline and its length.  A path from `plan_global` also carries
+    the search it came from, for the next replan; it takes no part in `==`
+    or `repr`."""
     points: tuple[tuple[float, float], ...]
     cumulative_length: float
+    search: _Search | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points",
@@ -44,13 +75,13 @@ class GlobalPath:
         return len(self.points)
 
 
-def _path_from_points(points) -> GlobalPath:
+def _path_from_points(points, search: _Search | None = None) -> GlobalPath:
     deduped = []
     for p in points:
         if not deduped or math.hypot(p[0] - deduped[-1][0], p[1] - deduped[-1][1]) > 1e-12:
             deduped.append((float(p[0]), float(p[1])))
     length = float(np.linalg.norm(np.diff(np.asarray(deduped), axis=0), axis=1).sum())
-    return GlobalPath(tuple(deduped), length)
+    return GlobalPath(tuple(deduped), length, search)
 
 
 @functools.lru_cache(maxsize=8)
@@ -72,16 +103,20 @@ def _edge_layout(w: int, h: int):
 def cost_to_go(grid: OccupancyGrid, goal, radius: float,
                field: DistanceField | None = None) -> np.ndarray:
     """Dijkstra cost-to-go toward `goal` for every cell; +inf where blocked
-    or unreachable.  Shared by planning and by the monotonicity checks."""
+    or unreachable: the full search of `plan_global`, which a replan bounds
+    or skips."""
     if field is None:
         field = distance_transform(grid, UnknownAs.FREE)
+    return _dijkstra(grid, *_priced_graph(grid, grid.cell_index(goal[0], goal[1]), radius, field))
+
+
+def _priced_graph(grid: OccupancyGrid, gi, radius: float, field: DistanceField):
+    """(weights, traversable mask, goal flat index) of the search toward
+    cell `gi`: weights[r, k] prices the CSR edge from row r to its slot-k
+    source, +inf on blocked rows."""
     res = grid.resolution
-    w, h = grid.width, grid.height
-    n = w * h
-
+    w = grid.width
     trav_flat = ((grid.cells != OCCUPIED) & (field.values >= radius)).ravel()
-
-    gi = grid.cell_index(goal[0], goal[1])
     goal_flat = gi[1] * w + gi[0]
     if not trav_flat[goal_flat]:
         raise PlanInputError("goal cell blocked")
@@ -95,13 +130,64 @@ def cost_to_go(grid: OccupancyGrid, goal, radius: float,
     # Transposed layout (row = dst) so dijkstra-from-goal follows reversed
     # edges.  A blocked row relays nothing (+inf weights), and the labels its
     # traversable neighbours hand it are masked out after the search.
-    src, diagonal = _edge_layout(w, h)
+    _, diagonal = _edge_layout(w, grid.height)
     weights = node_cost[:, None] + np.where(diagonal, res * math.sqrt(2.0), res)
+    return weights, trav_flat, goal_flat
+
+
+def _dijkstra(grid, weights, trav_flat, goal_flat, limit=math.inf) -> np.ndarray:
+    """Labels of `_priced_graph`'s search, +inf where blocked or above `limit`."""
+    w, h = grid.width, grid.height
+    n = w * h
+    src, _ = _edge_layout(w, h)
     graph = csr_matrix((weights.ravel(), src, np.arange(0, 8 * n + 1, 8, dtype=np.int32)),
                        shape=(n, n))
-    dist = _csgraph_dijkstra(graph, directed=True, indices=goal_flat)
+    dist = _csgraph_dijkstra(graph, directed=True, indices=goal_flat, limit=limit)
     dist[~trav_flat] = np.inf
     return dist.reshape(h, w)
+
+
+def _chain_bound(prev: _Search, grid: OccupancyGrid, weights, si, gi) -> float:
+    """Cost, in the search's own float sums, of the previous descent cells as
+    a path from cell `si` to the goal cell `gi`: their suffix from `si`, or
+    `si` and their suffix from the cell nearest the goal that neighbours it.
+    +inf if there is no such chain or it crosses a blocked cell."""
+    w, cells = grid.width, prev.cells
+    if prev.goal != gi or (prev.grid.width, prev.grid.height) != (w, grid.height):
+        return math.inf
+    if si in cells:
+        chain = cells[cells.index(si):]
+    else:
+        near = [k for k, (x, y) in enumerate(cells)
+                if max(abs(x - si[0]), abs(y - si[1])) == 1]
+        if not near:
+            return math.inf
+        chain = (si, *cells[near[-1]:])
+    slots = [(b[1] * w + b[0]) * 8 + _SLOT[b[0] - a[0], b[1] - a[1]]
+             for a, b in zip(chain, chain[1:])]
+    bound = 0.0
+    for weight in reversed(weights.ravel()[slots].tolist()):  # goal outward, as Dijkstra adds
+        bound += weight
+    return bound
+
+
+def _labels(grid: OccupancyGrid, si, gi, radius: float, field: DistanceField,
+            prev: _Search | None) -> np.ndarray:
+    """Cost-to-go labels toward cell `gi`, exact at the start cell `si` and
+    at every cell whose label is below it: `prev`'s labels where they serve,
+    else a search bounded by `prev`'s descent, else a full one."""
+    sx, sy = si
+    if (prev is not None and prev.field is field and prev.goal == gi
+            and prev.radius == radius and prev.grid.resolution == grid.resolution
+            and np.array_equal(prev.grid.cells, grid.cells)
+            and math.isfinite(prev.labels[sy, sx])):
+        return prev.labels
+    graph = _priced_graph(grid, gi, radius, field)
+    bound = math.inf if prev is None else _chain_bound(prev, grid, graph[0], si, gi)
+    labels = _dijkstra(grid, *graph, limit=bound)
+    if bound < math.inf and not math.isfinite(labels[sy, sx]):
+        labels = _dijkstra(grid, *graph)
+    return labels
 
 
 def segments_clear(field: DistanceField, a, ends, counts, clearance: float) -> np.ndarray:
@@ -136,10 +222,13 @@ def _shortcut(field: DistanceField, pts, radius: float) -> list:
 
 
 def plan_global(grid: OccupancyGrid, start, goal, radius: float,
-                field: DistanceField | None = None) -> GlobalPath:
+                field: DistanceField | None = None,
+                previous: GlobalPath | None = None) -> GlobalPath:
     """Collision-free polyline from start to goal (clearance >= radius at
     every vertex).  Raises PlanInputError for blocked endpoints and
-    NoPathError when the free space does not connect them."""
+    NoPathError when the free space does not connect them.  `previous`, the
+    last path planned toward the same goal, only saves search work: the path
+    is the one a call without it returns."""
     if field is None:
         field = distance_transform(grid, UnknownAs.FREE)
     for tag, p in (("start", start), ("goal", goal)):
@@ -151,32 +240,44 @@ def plan_global(grid: OccupancyGrid, start, goal, radius: float,
     if math.hypot(goal[0] - start[0], goal[1] - start[1]) < 1e-12:
         return GlobalPath((tuple(start),), 0.0)
 
-    ctg = cost_to_go(grid, goal, radius, field=field)
     w, h = grid.width, grid.height
     si = grid.cell_index(start[0], start[1])
     gi = grid.cell_index(goal[0], goal[1])
+    # the search's traversable test, at the start cell's centre
+    if not (grid.cells[si[1], si[0]] != OCCUPIED and field.values[si[1], si[0]] >= radius):
+        raise PlanInputError("start cell blocked")
+    ctg = _labels(grid, si, gi, radius, field, None if previous is None else previous.search)
     if not math.isfinite(ctg[si[1], si[0]]):
         raise NoPathError("goal unreachable from start")
 
-    # Steepest descent to the downhill neighbour of least (cost + step, flat index).
+    # Steepest descent to the downhill neighbour of least (cost + step, flat
+    # index).  Each cell's 3x3 labels are read once from a +inf-padded copy;
+    # the neighbours are tried in increasing flat index, so a strict `<`
+    # keeps the first of equal totals.
     res = grid.resolution
-    steps = [(dx, dy, res * math.sqrt(2.0) if dx and dy else res) for dx, dy in _NEIGHBORS]
+    diag = res * math.sqrt(2.0)
+    window = ((0, 0, diag), (1, 0, res), (2, 0, diag), (0, 1, res),
+              (2, 1, res), (0, 2, diag), (1, 2, res), (2, 2, diag))
+    pad = np.pad(ctg, 1, constant_values=np.inf)
     cells = [si]
     for _ in range(w * h):
         x, y = cells[-1]
         if (x, y) == gi:
             break
-        moves = [(ctg[y + dy, x + dx] + step, (y + dy) * w + x + dx)
-                 for dx, dy, step in steps
-                 if 0 <= x + dx < w and 0 <= y + dy < h and ctg[y + dy, x + dx] < ctg[y, x]]
-        if not moves:
+        nb = pad[y:y + 3, x:x + 3].tolist()
+        here, best = nb[1][1], None
+        for i, j, step in window:
+            c = nb[j][i]
+            if c < here and (best is None or c + step < best):
+                best, move = c + step, (x + i - 1, y + j - 1)
+        if best is None:
             raise NoPathError("descent stalled before reaching the goal")
-        flat = min(moves)[1]
-        cells.append((flat % w, flat // w))
+        cells.append(move)
 
     # interior cell centers only: the exact start/goal replace their own cells
     pts = [tuple(start), *(grid.cell_center(ix, iy) for ix, iy in cells[1:-1]), tuple(goal)]
-    return _path_from_points(_shortcut(field, pts, radius))
+    return _path_from_points(_shortcut(field, pts, radius),
+                             _Search(ctg, grid, field, gi, radius, tuple(cells)))
 
 
 def extract_local_reference(path: GlobalPath, pose, horizon: float) -> GlobalPath:

@@ -4,7 +4,9 @@ Each control tick: sense (one raycast, whose beams are marched only when
 fusing the scan can change the sensed map: while it has Unknown cells or lacks
 an obstacle of the truth), stamp agents, refresh the sensed field (rebuilt only
 when the tick map changed; it is also the ground-truth field while the sensed
-map equals the truth), refresh the global reference, plan locally toward one
+map equals the truth), refresh the global reference (a replan is handed the
+last path, whose search it reuses while the tick map and its field are
+unchanged, and which bounds its search otherwise), plan locally toward one
 local goal (the reference end with its last segment's heading, or the trial
 goal at the path end) on a crop of the tick map, clamp the command, integrate
 physics in sub-steps, and log one record (one clearance sample while the two
@@ -159,7 +161,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
             try:
                 global_path = plan_global(tick_map, (robot.x, robot.y),
                                           (goal[0], goal[1]), limits.radius,
-                                          field=sensed_field)
+                                          field=sensed_field, previous=global_path)
             except (NoPathError, PlanInputError):
                 pass  # keep the previous reference, if any
 
