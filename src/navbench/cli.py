@@ -18,9 +18,10 @@ from .world import load_scenario
 
 
 def _add_trial_opts(p):
-    p.add_argument("--cost-mode", choices=("wallclock", "iterations"), default="wallclock")
-    p.add_argument("--control-period", type=float, default=0.2)
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--cost-mode", choices=("wallclock", "iterations"),
+                   default=TrialConfig.compute_cost_mode)
+    p.add_argument("--control-period", type=float, default=TrialConfig.control_period)
+    p.add_argument("--timeout", type=float, default=TrialConfig.timeout)
     p.add_argument("--svg", action="store_true", help="emit one SVG per trial")
     p.add_argument("--dwa-config", help=".cfg file overriding DWA defaults")
     p.add_argument("--teb-config", help=".cfg file overriding TEB defaults")

@@ -33,7 +33,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import NoPathError, PlanInputError
 from .gridmap import (OCCUPIED, UNKNOWN, DistanceField, OccupancyGrid,
-                      UnknownAs, distance_at, distance_transform, sample_field)
+                      UnknownAs, distance_transform, sample_field)
 
 # Proximity surcharge: cost = step + W_OBS * max(0, d_infl - d(cell)),
 # with d_infl = 2 * radius.  Unknown cells pay a flat extra so the planner
@@ -234,7 +234,9 @@ def plan_global(grid: OccupancyGrid, start, goal, radius: float,
     for tag, p in (("start", start), ("goal", goal)):
         if not grid.contains(p[0], p[1]):
             raise PlanInputError(f"{tag} outside grid")
-        if distance_at(field, p[0], p[1]) < radius:
+    clearance = sample_field(field, (start[0], goal[0]), (start[1], goal[1]))
+    for tag, d in zip(("start", "goal"), clearance):
+        if d < radius:
             raise PlanInputError(f"{tag} in collision")
 
     if math.hypot(goal[0] - start[0], goal[1] - start[1]) < 1e-12:

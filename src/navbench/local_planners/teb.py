@@ -66,10 +66,10 @@ class BandProblem:
     as terms `(pose, var, values)` over its `rows`: `values[i]` is the
     partial of row `rows[i]` by variable `var` (X, Y, TH, or DT, the time
     delta of the segment leaving the pose) of pose `pose[i]`.  Row k of a
-    per-segment block is segment k, from pose k to pose k+1.  `_jacobian`
-    lays the terms out through one column map, `cols`, whose three leading
-    columns belong to pinned pose 0 and are cut off, so a block writes its
-    pose-0 partials like any other.
+    per-segment block is segment k, from pose k to pose k+1.  The terms are
+    laid out through one column map, `cols`, whose three leading columns
+    belong to pinned pose 0 and are cut off, so a block writes its pose-0
+    partials like any other.
     """
 
     # Residual blocks in stacking order; each name has a `block_<name>` method.
@@ -131,9 +131,13 @@ class BandProblem:
         sin_s = np.sin(ths[:-1]) + np.sin(ths[1:])
         sign_v = np.where(cx * cos_s + cy * sin_s >= 0.0, 1.0, -1.0)
         v = sign_v * length / dts
+        # unit chord of each segment, zero where its poses coincide
+        long = length > 1e-12
+        L = np.where(long, length, 1.0)
         return dict(xs=xs, ys=ys, ths=ths, dts=dts, cx=cx, cy=cy,
                     length=length, omega=omega, v=v, sign_v=sign_v,
-                    cos_s=cos_s, sin_s=sin_s)
+                    cos_s=cos_s, sin_s=sin_s,
+                    ux=np.where(long, cx / L, 0.0), uy=np.where(long, cy / L, 0.0))
 
     # -- shared hinges -----------------------------------------------------
 
@@ -230,31 +234,21 @@ class BandProblem:
 
     # -- assembly ----------------------------------------------------------
 
-    def _jacobian(self, n_rows, rows, terms):
-        J = np.zeros((n_rows, 3 + self.nv))
-        for pose, var, values in terms:
-            J[rows, self.cols[pose, var]] = values
-        return J[:, 3:]
-
-    def residual_blocks(self, z):
-        """{name: (r, J)} for every block, in stacking order."""
-        g = self._geometry(z)
-        # unit chord of each segment, zero where its poses coincide
-        long = g["length"] > 1e-12
-        L = np.where(long, g["length"], 1.0)
-        g["ux"] = np.where(long, g["cx"] / L, 0.0)
-        g["uy"] = np.where(long, g["cy"] / L, 0.0)
-        blocks = {}
-        for name in self.BLOCKS:
-            r, partials = getattr(self, f"block_{name}")(g)
-            blocks[name] = (r, self._jacobian(len(r), *partials))
-        return blocks
-
     def residuals_and_jacobian(self, z):
-        blocks = self.residual_blocks(z)
-        r = np.concatenate([blocks[name][0] for name in self.BLOCKS])
-        J = np.vstack([blocks[name][1] for name in self.BLOCKS])
-        return r, J
+        """The blocks' residuals stacked in `BLOCKS` order, and their Jacobian
+        without pose 0's pinned columns: every block writes its terms into
+        its own row range of one matrix."""
+        g = self._geometry(z)
+        blocks = [getattr(self, f"block_{name}")(g) for name in self.BLOCKS]
+        r = np.concatenate([block_r for block_r, _ in blocks])
+        J = np.zeros((len(r), 3 + self.nv))
+        offset = 0
+        for block_r, (rows, terms) in blocks:
+            at = offset + rows
+            for pose, var, values in terms:
+                J[at, self.cols[pose, var]] = values
+            offset += len(block_r)
+        return r, np.ascontiguousarray(J[:, 3:])
 
 
 def optimize_band(problem: BandProblem, z0: np.ndarray, cfg: TebConfig):

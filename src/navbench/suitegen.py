@@ -12,7 +12,7 @@ from scipy import ndimage
 
 from .errors import NoPathError, PlanInputError, ValidationError
 from .global_planner import plan_global, segments_clear
-from .gridmap import FREE, OCCUPIED, OccupancyGrid, distance_transform, mask_unknown_region
+from .gridmap import FREE, OCCUPIED, OccupancyGrid, distance_transform
 from .robot import KinematicLimits
 from .world import DynamicAgent, Scenario, save_scenario
 from .worldgen import WorldParams, generate_world
@@ -133,13 +133,8 @@ def build_default_suite(root, seed: int = 0, pairs_per_scene: int = 3) -> str:
     room = generate_world("open_room", WorldParams(10.0, 10.0), seed=seed + 6)
 
     def add(name, grid, pairs, agents=(), masks=()):
-        prior = grid
-        for m in masks:
-            prior = mask_unknown_region(prior, m)
-        scn = Scenario(name=name, map=grid, prior_map=prior,
-                       start_goal_pairs=pairs, agents=agents, masks=masks)
-        path = os.path.join(root, f"{name}.scene")
-        save_scenario(scn, path)
+        scn = Scenario(name=name, map=grid, start_goal_pairs=pairs, agents=agents, masks=masks)
+        save_scenario(scn, os.path.join(root, f"{name}.scene"))
 
     n = pairs_per_scene
     add("office", office,

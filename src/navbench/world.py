@@ -1,16 +1,17 @@
 """Scenario model: map + start/goal pairs + moving agents + unknown masking.
 
-A Scenario owns the ground-truth grid and the prior handed to the planners
-(identical unless part of the map is masked Unknown).  Dynamic agents move
-along fixed waypoint polylines at constant speed and get stamped into the
-planning grids each control tick.
+A Scenario is what its .scene file states: the ground-truth grid, the
+start/goal pairs, the agents, the scan and the masks.  The prior handed to
+the planners is derived, never stated: the map with every mask set Unknown.
+Dynamic agents move along fixed waypoint polylines at constant speed and get
+stamped into the planning grids each control tick.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -130,24 +131,28 @@ def stamp_agents(grid: OccupancyGrid, agents) -> OccupancyGrid:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A scene; its prior shares the truth's grid, as scans of the truth fuse into it."""
+    """A scene.  `prior_map`, what the planners start from, is not an
+    argument: it is `map` with every mask applied by `mask_unknown_region`, in
+    order (`map` itself when there are none), so it shares the truth's grid,
+    as scans of the truth fuse into it.  A bad mask raises ValidationError."""
 
     name: str
     map: OccupancyGrid                 # ground truth
-    prior_map: OccupancyGrid           # what planners start from
     start_goal_pairs: tuple            # ((x, y, th), (x, y, th)) per pair
     agents: tuple = ()
     scan_spec: ScanSpec = ScanSpec()
-    masks: tuple = ()                  # (x, y, w, h) rectangles applied to prior
+    masks: tuple = ()                  # (x, y, w, h) rectangles set Unknown in the prior
+    prior_map: OccupancyGrid = field(init=False)
 
     def __post_init__(self):
-        grids = [(g.width, g.height, g.resolution, *g.origin) for g in (self.map, self.prior_map)]
-        if grids[0] != grids[1]:
-            raise ValidationError("prior_map must have the map's width, height, resolution and origin")
         object.__setattr__(self, "start_goal_pairs",
                            tuple((tuple(s), tuple(g)) for s, g in self.start_goal_pairs))
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "masks", tuple(tuple(m) for m in self.masks))
+        prior = self.map
+        for m in self.masks:
+            prior = mask_unknown_region(prior, m)
+        object.__setattr__(self, "prior_map", prior)
 
     @property
     def has_unknown_prior(self) -> bool:
@@ -180,13 +185,11 @@ class Scenario:
 # scene files
 
 
-def save_scenario(scn: Scenario, path, map_filename: str | None = None) -> None:
+def save_scenario(scn: Scenario, path) -> None:
     """Write a .scene file plus its .grid map next to it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    if map_filename is None:
-        base = os.path.splitext(os.path.basename(path))[0]
-        map_filename = base + ".grid"
+    map_filename = os.path.splitext(os.path.basename(path))[0] + ".grid"
     save_grid(scn.map, os.path.join(directory, map_filename))
     lines = [f"name {scn.name}", f"map {map_filename}"]
     for m in scn.masks:
@@ -260,12 +263,8 @@ def load_scenario(path) -> Scenario:
     if grid is None:
         raise ParseError("scene file has no 'map' line", path=path)
     try:
-        prior = grid
-        for m in masks:
-            prior = mask_unknown_region(prior, m)
-        scn = Scenario(name=name, map=grid, prior_map=prior,
-                       start_goal_pairs=tuple(pairs), agents=tuple(agents),
-                       scan_spec=scan, masks=tuple(masks))
+        scn = Scenario(name=name, map=grid, start_goal_pairs=tuple(pairs),
+                       agents=tuple(agents), scan_spec=scan, masks=tuple(masks))
         scn.validate()
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

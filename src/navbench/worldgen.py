@@ -15,9 +15,6 @@ from scipy import ndimage
 from .errors import ValidationError
 from .gridmap import FREE, OCCUPIED, OccupancyGrid
 
-WORLD_KINDS = ("office", "maze", "corridor_u", "corridor_acute", "open_room")
-
-
 @dataclass(frozen=True)
 class WorldParams:
     size_x: float
@@ -48,14 +45,7 @@ class WorldParams:
 def generate_world(kind: str, params: WorldParams, seed: int = 0) -> OccupancyGrid:
     if kind not in WORLD_KINDS:
         raise ValidationError(f"unknown world kind {kind!r}; expected one of {WORLD_KINDS}")
-    builder = {
-        "office": _office,
-        "maze": _maze,
-        "corridor_u": _corridor_u,
-        "corridor_acute": _corridor_acute,
-        "open_room": _open_room,
-    }[kind]
-    cells = builder(params, seed)
+    cells = _BUILDERS[kind](params, seed)
     return OccupancyGrid(cells.shape[1], cells.shape[0], params.resolution,
                          (0.0, 0.0), cells)
 
@@ -253,3 +243,13 @@ def _corridor_acute(params: WorldParams, seed: int, turn_deg: float = 135.0) -> 
     carve_capsule(a_start, corner)
     carve_capsule(corner, b_end)
     return cells
+
+
+_BUILDERS = {
+    "office": _office,
+    "maze": _maze,
+    "corridor_u": _corridor_u,
+    "corridor_acute": _corridor_acute,
+    "open_room": _open_room,
+}
+WORLD_KINDS = tuple(_BUILDERS)

@@ -101,7 +101,7 @@ def test_report_rejects_a_trial_csv_without_a_valid_outcome_or_pair(tmp_path, ca
 def test_validate_rejects_a_repeated_singleton_key(tmp_path, capsys, key, value):
     g = generate_world("open_room", WorldParams(6.0, 5.0), 0)
     path = tmp_path / "demo.scene"
-    save_scenario(Scenario(name="demo", map=g, prior_map=g,
+    save_scenario(Scenario(name="demo", map=g,
                            start_goal_pairs=(((1.0, 1.0, 0.0), (5.0, 4.0, 0.0)),)),
                   path)
     lines = path.read_text().splitlines() + ["scan -90 90 1 0.05 8"]
@@ -121,7 +121,7 @@ def test_trial_with_a_non_finite_period_is_an_error(tmp_path, capsys, flag, valu
     grid = generate_world("office", WorldParams(7.0, 6.0, clutter=2), seed=3)
     scene = tmp_path / "small.scene"
     pairs = propose_pairs(grid, 1, seed=5, min_euclid=3.0, max_path=9.0)
-    save_scenario(Scenario(name="small", map=grid, prior_map=grid, start_goal_pairs=pairs),
+    save_scenario(Scenario(name="small", map=grid, start_goal_pairs=pairs),
                   str(scene))
     out_dir = tmp_path / "out"
     assert cli.main(["trial", "--scene", str(scene), "--planner", "dwa",

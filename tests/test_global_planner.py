@@ -75,10 +75,17 @@ def test_goal_sealed_raises_no_path():
         plan_global(g, (1.0, 1.0), (3.05, 3.05), RADIUS)
 
 
-def test_start_in_collision_rejected():
-    g = open_room(6.0)
-    with pytest.raises(PlanInputError):
-        plan_global(g, (0.12, 0.12), (3.0, 3.0), RADIUS)
+@pytest.mark.parametrize("start, goal, message", [
+    ((-1.0, 3.0), (3.0, 3.0), "start outside grid"),
+    ((3.0, 3.0), (3.0, 7.0), "goal outside grid"),
+    ((0.12, 0.12), (3.0, 7.0), "goal outside grid"),  # both grid checks come first
+    ((0.12, 0.12), (3.0, 3.0), "start in collision"),
+    ((0.12, 0.12), (0.12, 5.88), "start in collision"),
+    ((3.0, 3.0), (5.88, 5.88), "goal in collision"),
+])
+def test_endpoint_rejected(start, goal, message):
+    with pytest.raises(PlanInputError, match=message):
+        plan_global(open_room(6.0), start, goal, RADIUS)
 
 
 def test_path_endpoints_and_clearance():

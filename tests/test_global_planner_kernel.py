@@ -153,11 +153,13 @@ def test_plan_global_equals_old_descent_and_scan(monkeypatch):
         assert path == old_plan(grid, field, start, goal, old)
         planned += 1
         point_counts.add(len(path))
-        # The batched call of each kept vertex starts with exactly the points
-        # the old scan sampled there, in the same order, bit for bit.
+        # The first call reads both endpoint clearances.  The batched call of
+        # each kept vertex starts with exactly the points the old scan
+        # sampled there, in the same order, bit for bit.
+        assert batched[0] == ((start[0], goal[0]), (start[1], goal[1]))
         groups = [g for g in old.groups if g]
-        assert len(batched) == len(groups)
-        for (xs, ys), group in zip(batched, groups):
+        assert len(batched) - 1 == len(groups)
+        for (xs, ys), group in zip(batched[1:], groups):
             old_xs = np.concatenate([s[0] for s in group])
             old_ys = np.concatenate([s[1] for s in group])
             assert xs[:old_xs.size].tobytes() == old_xs.tobytes()
@@ -226,7 +228,7 @@ def test_cost_to_go_equals_coo_reference(rng):
 def test_one_field_sample_per_kept_vertex(monkeypatch):
     calls = []
     monkeypatch.setattr(global_planner, "sample_field",
-                        lambda *args, **kw: calls.append(1) or sample_field(*args, **kw))
+                        lambda *args, **kw: calls.append(args[1:]) or sample_field(*args, **kw))
     total = 0
     for grid, field, start, goal in requests(60, seed=5):
         calls.clear()
@@ -234,8 +236,10 @@ def test_one_field_sample_per_kept_vertex(monkeypatch):
             path = plan_global(grid, start, goal, RADIUS, field=field)
         except (PlanInputError, NoPathError):
             continue
-        assert len(calls) <= len(path) - 1
-        total += len(calls)
+        # one call for both endpoints, then at most one per kept vertex
+        assert calls[0] == ((start[0], goal[0]), (start[1], goal[1]))
+        assert len(calls) - 1 <= len(path) - 1
+        total += len(calls) - 1
     assert total > 0
 
 

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from navbench import harness
-from navbench.gridmap import (UNKNOWN, UnknownAs, crop_local, distance_transform,
-                              mask_unknown_region)
+from navbench.gridmap import UNKNOWN, UnknownAs, crop_local, distance_transform
 from navbench.suitegen import build_default_suite
 from navbench.world import load_scenario
 
@@ -169,7 +168,7 @@ def test_trial_with_unknown_cells_samples_the_truth_field_while_its_map_differs(
     ends with crops that hold none."""
     scn = scenes[name]
     if mask is not None:
-        scn = dataclasses.replace(scn, prior_map=mask_unknown_region(scn.map, mask))
+        scn = dataclasses.replace(scn, masks=(mask,))
     result, log = _traced_trial(monkeypatch, scn, 0, 60)
     differs = [not np.array_equal(t["sensed"].cells, scn.map.cells) for t in log[1:]]
     assert any(differs)

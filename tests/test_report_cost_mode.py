@@ -20,7 +20,7 @@ def manifest(tmp_path_factory):
     root = tmp_path_factory.mktemp("suite")
     grid = generate_world("office", WorldParams(7.0, 6.0, clutter=2), seed=3)
     pairs = propose_pairs(grid, 1, seed=5, min_euclid=3.0, max_path=9.0)
-    scn = Scenario(name="small_office", map=grid, prior_map=grid, start_goal_pairs=pairs)
+    scn = Scenario(name="small_office", map=grid, start_goal_pairs=pairs)
     save_scenario(scn, str(root / "small_office.scene"))
     path = root / "small.suite"
     path.write_text("group static\nscene small_office.scene\n")

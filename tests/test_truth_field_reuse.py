@@ -11,8 +11,6 @@ import dataclasses
 import pytest
 
 from navbench import harness
-from navbench.errors import ValidationError
-from navbench.gridmap import crop_local, mask_unknown_region
 from navbench.metrics import write_log_csv
 from navbench.suitegen import build_default_suite
 from navbench.world import load_scenario
@@ -74,22 +72,10 @@ def test_reuse_writes_the_same_rows_with_one_transform_fewer_per_tick(
 
 def test_unknown_prior_with_agents_builds_the_truth_field(scenes, monkeypatch, tmp_path):
     scn = scenes["office_dynamic"]
-    prior = mask_unknown_region(scn.map, (0.0, 0.0, 3.0, 3.0))
-    scn = dataclasses.replace(scn, prior_map=prior)
+    scn = dataclasses.replace(scn, masks=((0.0, 0.0, 3.0, 3.0),))
     assert scn.has_unknown_prior
     rows, transforms, truth_stamps = _run(monkeypatch, tmp_path, scn, reuse=True)
     rows_off, transforms_off, _ = _run(monkeypatch, tmp_path, scn, reuse=False)
     assert rows == rows_off
     assert truth_stamps == TICKS and transforms == transforms_off
 
-
-def test_prior_in_another_frame_is_rejected(scenes):
-    """Scans cast on the truth are fused into the prior, so a prior must share
-    the truth's grid: a nanometre shift of its origin is already another frame."""
-    scn = scenes["crowd"]
-    g = scn.map
-    for other in (dataclasses.replace(g, origin=(g.origin[0] + 1e-9, g.origin[1])),
-                  dataclasses.replace(g, resolution=g.resolution * 2),
-                  crop_local(g, g.cell_center(g.width // 2, g.height // 2), 3.0)):
-        with pytest.raises(ValidationError, match="prior_map"):
-            dataclasses.replace(scn, prior_map=other)

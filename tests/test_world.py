@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -198,8 +200,7 @@ def simple_scenario(name="demo"):
     g = generate_world("open_room", WorldParams(6.0, 5.0), 0)
     pairs = (((1.0, 1.0, 0.0), (5.0, 4.0, 0.5)),)
     agent = DynamicAgent(0.25, 0.6, ((2.0, 2.0), (4.0, 2.0)))
-    return Scenario(name=name, map=g, prior_map=g, start_goal_pairs=pairs,
-                    agents=(agent,))
+    return Scenario(name=name, map=g, start_goal_pairs=pairs, agents=(agent,))
 
 
 def test_scenario_roundtrip(tmp_path):
@@ -217,19 +218,39 @@ def test_scenario_roundtrip(tmp_path):
 
 def test_scenario_with_mask_roundtrip(tmp_path):
     g = generate_world("open_room", WorldParams(6.0, 5.0), 0)
-    scn = Scenario(name="masked", map=g, prior_map=g,
-                   start_goal_pairs=(((1.0, 1.0, 0.0), (5.0, 4.0, 0.0)),),
-                   masks=((2.0, 2.0, 1.5, 1.0),))
+    rects = ((2.0, 2.0, 1.5, 1.0), (3.05, 0.5, 0.3, 3.0))
+    scn = Scenario(name="masked", map=g,
+                   start_goal_pairs=(((1.0, 1.0, 0.0), (5.0, 4.0, 0.0)),), masks=rects)
+    # Unknown exactly at the cell centres inside some mask, the map elsewhere
+    cx = (np.arange(g.width) + 0.5) * g.resolution
+    cy = (np.arange(g.height) + 0.5) * g.resolution
+    inside = np.zeros((g.height, g.width), dtype=bool)
+    for x, y, w, h in rects:
+        inside |= np.outer((cy >= y) & (cy <= y + h), (cx >= x) & (cx <= x + w))
+    assert inside.any() and not (g.cells == CellState.UNKNOWN).any()
+    assert np.array_equal(scn.prior_map.cells == CellState.UNKNOWN, inside)
+    assert np.array_equal(scn.prior_map.cells[~inside], g.cells[~inside])
     path = tmp_path / "masked.scene"
     save_scenario(scn, path)
     loaded = load_scenario(path)
-    assert (loaded.prior_map.cells == CellState.UNKNOWN).any()
-    assert not (loaded.map.cells == CellState.UNKNOWN).any()
+    assert np.array_equal(loaded.prior_map.cells, scn.prior_map.cells)
+    assert np.array_equal(loaded.map.cells, g.cells)
+
+
+def test_prior_follows_the_masks():
+    scn = simple_scenario()
+    assert scn.prior_map is scn.map and not scn.has_unknown_prior
+    masked = dataclasses.replace(scn, masks=((2.0, 2.0, 1.5, 1.0),))
+    assert masked.has_unknown_prior and masked.map is scn.map
+    assert dataclasses.replace(masked, masks=()).prior_map is scn.map
+    assert "prior_map" not in inspect.signature(Scenario).parameters
+    with pytest.raises(ValidationError, match="does not intersect"):
+        dataclasses.replace(scn, masks=((20.0, 20.0, 1.0, 1.0),))
 
 
 def test_scenario_start_on_occupied_rejected(tmp_path):
     g = generate_world("open_room", WorldParams(6.0, 5.0), 0)
-    scn = Scenario(name="bad", map=g, prior_map=g,
+    scn = Scenario(name="bad", map=g,
                    start_goal_pairs=(((0.05, 0.05, 0.0), (5.0, 4.0, 0.0)),))
     path = tmp_path / "bad.scene"
     save_scenario(scn, path)
@@ -242,7 +263,7 @@ def test_scenario_disconnected_pair_rejected(tmp_path):
     cells = np.array(g.cells)
     cells[:, 30] = CellState.OCCUPIED  # wall splitting the room
     g = g.with_cells(cells)
-    scn = Scenario(name="bad", map=g, prior_map=g,
+    scn = Scenario(name="bad", map=g,
                    start_goal_pairs=(((1.0, 1.0, 0.0), (5.0, 4.0, 0.0)),))
     path = tmp_path / "bad.scene"
     save_scenario(scn, path)
@@ -292,7 +313,6 @@ def test_scene_validation_error_names_the_file(tmp_path, edit, match):
         cells = np.array(scn.map.cells)
         cells[:, 30] = CellState.OCCUPIED
         scn = Scenario(name="demo", map=scn.map.with_cells(cells),
-                       prior_map=scn.map.with_cells(cells),
                        start_goal_pairs=scn.start_goal_pairs)
     path = tmp_path / "demo.scene"
     save_scenario(scn, path)
