@@ -439,7 +439,10 @@ def integrate_scan(known: OccupancyGrid, scan: LaserScan) -> OccupancyGrid:
 
 
 def mask_unknown_region(grid: OccupancyGrid, rect) -> OccupancyGrid:
-    """Set every cell whose center lies in rect = (x, y, w, h) to Unknown."""
+    """Set every cell whose center lies in rect = (x, y, w, h) to Unknown; a
+    rect that holds no cell center raises ValidationError."""
+    if len(rect) != 4:
+        raise ValidationError("mask needs 4 values: x y w h")
     rx, ry, rw, rh = rect
     if rw <= 0 or rh <= 0:
         raise ValidationError("mask rectangle must have positive extent")
@@ -451,6 +454,8 @@ def mask_unknown_region(grid: OccupancyGrid, rect) -> OccupancyGrid:
     in_x = (cx >= rx) & (cx <= rx + rw)
     in_y = (cy >= ry) & (cy <= ry + rh)
     mask = np.outer(in_y, in_x)
+    if not mask.any():
+        raise ValidationError("mask rectangle covers no cell center")
     new = np.array(grid.cells)
     new[mask] = UNKNOWN
     return grid.with_cells(new)

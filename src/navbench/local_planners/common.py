@@ -70,7 +70,11 @@ def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np
     """Roll constant commands out with exact arc steps from the current pose.
 
     Scalar (v, omega) give an (n_steps + 1, 4) array of (x, y, theta, t);
-    arrays of shape S give S + (n_steps + 1, 4).
+    arrays give S + (n_steps + 1, 4), S their broadcast shape.  A heading
+    depends only on theta0 and omega, so the headings, their wraps and the
+    cos/sin of theta + half are computed at omega's own shape, and only the
+    chords and positions at S: a lattice passed as a (n_v, 1) speed axis and
+    an (n_omega,) turn axis builds n_omega heading rows, not n_v * n_omega.
 
     The chained `arc_step`s are running sums (`np.add.accumulate`, which adds
     in order): headings from theta0 over the turns, positions from (x0, y0)
@@ -79,17 +83,17 @@ def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np
     heading after theta0 outside (-pi, pi] is wrapped and the later turns are
     re-added to it: one pass per wrap over the rollouts that still have one.
     """
-    v, omega = np.broadcast_arrays(v, omega)
+    omega = np.asarray(omega)
     half, chord, turn = arc_terms(v, omega, dt)
-    out = np.empty(v.shape + (n_steps + 1, 4))
+    out = np.empty(np.shape(chord) + (n_steps + 1, 4))
     out[..., 3] = np.arange(n_steps + 1) * dt
-    th = out[..., 2]
+    th = np.empty(omega.shape + (n_steps + 1,))
     th[..., 0] = state.theta
     th[..., 1:] = turn[..., None]
     np.add.accumulate(th, axis=-1, out=th)
     redo = (np.abs(th[..., 1:]) >= math.pi).any(axis=-1)  # may wrap
     if redo.any():  # a 0-d mask indexes as one rollout
-        rows, turns = th[redo], np.broadcast_to(turn, redo.shape)[redo]
+        rows, turns = th[redo], np.asarray(turn)[redo]
         cols = np.arange(n_steps + 1)
         done = np.zeros(len(rows), dtype=np.intp)  # per rollout: its last wrapped column
         live = np.arange(len(rows))
@@ -107,6 +111,7 @@ def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np
             rows[live] = np.where(cols >= k[:, None], seq, cur)
             done[live] = k
         th[redo] = rows
+    out[..., 2] = th
     for col, (start, trig) in enumerate(((state.x, np.cos), (state.y, np.sin))):
         pos = out[..., col]
         pos[..., 0] = start
@@ -123,9 +128,13 @@ def rollout_for_scoring(req: LocalPlanRequest, v, omega, n_steps: int, dt: float
     traj = forward_simulate(req.robot, v, omega, n_steps, dt)
     d = np.hypot(traj[..., 0] - req.goal[0], traj[..., 1] - req.goal[1])
     k = np.argmin(d, axis=-1)
-    end = np.where((k < n_steps) & (d.min(axis=-1) < d[..., -1]), np.maximum(k, 1), n_steps)
-    held = np.take_along_axis(traj, end[..., None, None], axis=-2)
-    return np.where((np.arange(n_steps + 1) <= end[..., None])[..., None], traj, held), end
+    closest = np.take_along_axis(d, k[..., None], axis=-1)[..., 0]
+    end = np.where((k < n_steps) & (closest < d[..., -1]), np.maximum(k, 1), n_steps)
+    frozen = np.arange(n_steps + 1) > end[..., None]
+    if frozen.any():
+        held = np.take_along_axis(traj, end[..., None, None], axis=-2)
+        np.copyto(traj, held, where=frozen[..., None])
+    return traj, end
 
 
 def _trajectories(trajectory) -> np.ndarray:
@@ -164,6 +173,9 @@ def _bearing(req: LocalPlanRequest, x, y):
     """Bearing from (x, y) to the local goal, or its heading when on it."""
     tx, ty, tth = req.goal
     dx, dy = tx - x, ty - y
+    # a rounded hypot is never below max(|dx|, |dy|): no pose is on the goal
+    if (np.maximum(np.abs(dx), np.abs(dy)) > 1e-9).all():
+        return _atan2(dy, dx)
     return np.where(_hypot(dx, dy) < 1e-9, tth, _atan2(dy, dx))
 
 

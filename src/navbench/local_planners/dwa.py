@@ -3,6 +3,8 @@
 Velocity pairs are sampled on a lattice inside the acceleration-reachable
 window, forward-simulated with exact arcs, filtered for collisions, and the
 survivor with the best weighted (heading, clearance, velocity) score wins.
+The lattice is passed to the rollout as two axes, an (n_v, 1) speed axis and
+an (n_omega,) turn axis, so each turn rate's headings are built once.
 """
 
 from __future__ import annotations
@@ -53,23 +55,24 @@ def dwa_plan(req: LocalPlanRequest, cfg: DwaConfig = DwaConfig()) -> PlannerOutp
         return term
 
     v_lo, v_hi, w_lo, w_hi = dynamic_window(req)
+    vs = np.linspace(v_lo, v_hi, cfg.n_v)
+    ws = np.linspace(w_lo, w_hi, cfg.n_omega)
+    n_steps = int(round(cfg.sim_horizon / cfg.sim_dt))
+    trajs, end = rollout_for_scoring(req, vs[:, None], ws, n_steps, cfg.sim_dt)
     # v-major lattice: argmax's first-index tie-break keeps the winner that a
     # strict `>` scan over v, then omega, would keep.
-    vs, ws = (a.ravel() for a in np.meshgrid(np.linspace(v_lo, v_hi, cfg.n_v),
-                                              np.linspace(w_lo, w_hi, cfg.n_omega),
-                                              indexing="ij"))
-    n_steps = int(round(cfg.sim_horizon / cfg.sim_dt))
-    trajs, end = rollout_for_scoring(req, vs, ws, n_steps, cfg.sim_dt)
+    trajs, end = trajs.reshape(-1, n_steps + 1, 4), end.ravel()
     scores = score_components(trajs, req)
     h, c, vel = scores
     score = cfg.w_heading * h + cfg.w_clearance * c + cfg.w_velocity * vel
     # NaN clearance passes the filter; a NaN score then never wins.
     ok = ~(scores.min_clearance < req.limits.radius) & (score > -np.inf)
     if not ok.any():
-        return recovery_output(req, t0, vs.size)
+        return recovery_output(req, t0, end.size)
 
     b = int(np.argmax(np.where(ok, score, -np.inf)))
+    iv, iw = divmod(b, cfg.n_omega)
     ms = (time.perf_counter() - t0) * 1e3
-    return PlannerOutput(VelocityCommand(float(vs[b]), float(ws[b])),
+    return PlannerOutput(VelocityCommand(float(vs[iv]), float(ws[iw])),
                          tuple(map(tuple, trajs[b, :end[b] + 1])),
-                         ms, vs.size, PlannerStatus.OK)
+                         ms, end.size, PlannerStatus.OK)

@@ -285,3 +285,128 @@ def test_freeze_with_nan_distances():
         got, end = common.rollout_for_scoring(req, vs, ws, N_STEPS, DT)
         want, want_end = frozen_by_gather(req, vs, ws, N_STEPS, DT)
     assert same_bits(end, want_end) and same_bits(got, want)
+
+
+# -- the lattice as a speed axis and a turn axis -----------------------------
+
+SPEED_AXIS = np.linspace(-0.2, 0.55, 11)
+TURN_AXIS = np.linspace(-3.0, 3.0, 21)
+
+
+@pytest.mark.parametrize("theta", THETA0)
+def test_two_axis_lattice_equals_meshgrid_and_raveled_forms(theta):
+    """An (n_v, 1) speed axis against an (n_omega,) turn axis gives the
+    meshgrid lattice's rollouts bit for bit; turns of up to 3 rad/s over
+    1.6 s wrap the headings at every theta0."""
+    state = RobotState(13.51, -6.62, theta)
+    vs, ws = np.meshgrid(SPEED_AXIS, TURN_AXIS, indexing="ij")
+    axes = forward_simulate(state, SPEED_AXIS[:, None], TURN_AXIS, N_STEPS, DT)
+    grid = forward_simulate(state, vs, ws, N_STEPS, DT)
+    flat = forward_simulate(state, vs.ravel(), ws.ravel(), N_STEPS, DT)
+    assert axes.shape == (11, 21, N_STEPS + 1, 4)
+    assert same_bits(axes, grid)
+    assert same_bits(axes.reshape(flat.shape), flat)
+    assert same_bits(axes, chained(arc_step, state, vs, ws))
+    assert chained_wraps(state, vs, ws).any()
+
+
+@pytest.mark.parametrize("theta", THETA0)
+def test_one_speed_or_one_turn_rate_broadcasts(theta):
+    """A scalar on either side gives the rollouts of the equal-shape form."""
+    state = RobotState(0.5, 0.25, theta)
+    same_turn = forward_simulate(state, SPEED_AXIS, 2.5, N_STEPS, DT)
+    assert same_turn.shape == (11, N_STEPS + 1, 4)
+    assert same_bits(same_turn, forward_simulate(state, SPEED_AXIS, np.full(11, 2.5),
+                                                 N_STEPS, DT))
+    same_speed = forward_simulate(state, 0.3, TURN_AXIS, N_STEPS, DT)
+    assert same_bits(same_speed, forward_simulate(state, np.full(21, 0.3), TURN_AXIS,
+                                                  N_STEPS, DT))
+
+
+@pytest.mark.parametrize("theta", THETA0)
+def test_two_axis_special_values(theta):
+    state = RobotState(-2.25, 7.125, theta)
+    ws = np.array([0.0, -0.0, 1e-13, -1e-13, np.nan, np.inf, -np.inf, 1.0, -1.0, 3.0])
+    vs = np.array([0.0, 0.3, -0.2, 0.55, np.nan, np.inf])
+    vv, ww = np.meshgrid(vs, ws, indexing="ij")
+    with np.errstate(invalid="ignore"):
+        assert same_bits(forward_simulate(state, vs[:, None], ws, N_STEPS, DT),
+                         forward_simulate(state, vv, ww, N_STEPS, DT))
+
+
+@pytest.mark.parametrize("theta", WRAP_THETA0)
+def test_headings_wrapped_once_per_turn_rate(monkeypatch, theta):
+    """Against a turn axis the wrap passes cover one rollout per turn rate,
+    not one per lattice cell."""
+    passes = []
+    wrap = common.wrap_angle
+
+    def counting(th):
+        passes.append(np.size(th))
+        return wrap(th)
+
+    monkeypatch.setattr(common, "wrap_angle", counting)
+    state = RobotState(0.5, 0.25, theta)
+    for ws in (TURN_AXIS, np.linspace(-40.0, 40.0, 21)):
+        passes.clear()
+        forward_simulate(state, SPEED_AXIS[:, None], ws, N_STEPS, DT)
+        wraps = chained_wraps(state, 0.3, ws)
+        assert passes == [int((wraps >= j).sum()) for j in range(1, wraps.max() + 1)]
+
+
+# -- the bearing's on-goal test ----------------------------------------------
+
+def bearing_by_hypot(req, x, y):
+    """`_bearing` as the hypot test alone."""
+    tx, ty, tth = req.goal
+    dx, dy = tx - x, ty - y
+    return np.where(common._hypot(dx, dy) < 1e-9, tth, common._atan2(dy, dx))
+
+
+def test_final_pose_on_the_goal_scores_the_goal_heading():
+    req = request(RobotState(2.0, 2.0, 0.5), (2.6, 2.3, 1.25))
+    assert float(common._bearing(req, 2.6, 2.3)) == 1.25
+    xs, ys = np.array([2.6, 2.0, 2.6]), np.array([2.3, 2.0, 2.3 + 1e-10])
+    assert same_bits(common._bearing(req, xs, ys), bearing_by_hypot(req, xs, ys))
+    assert common._bearing(req, xs, ys)[[0, 2]].tolist() == [1.25, 1.25]
+    traj = np.array([(2.3, 2.0, 0.25, 0.0), (2.6, 2.3, 0.75, 0.1)])
+    heading, _, _ = common.score_components(traj, req)
+    assert heading == 1.0 - 0.5 / math.pi
+
+
+def test_bearing_equals_the_hypot_test(rng):
+    req = request(RobotState(2.0, 2.0, 0.5), (0.0, 0.0, -2.5))
+    edges = [0.0, -0.0, 1e-9, -1e-9, np.nextafter(1e-9, 0.0), np.nextafter(1e-9, 1.0),
+             7e-10, 5e-324, 1.0, np.nan, np.inf, -np.inf]
+    ex, ey = np.meshgrid(edges, edges, indexing="ij")
+    with np.errstate(invalid="ignore"):
+        got, want = common._bearing(req, -ex, -ey), bearing_by_hypot(req, -ex, -ey)
+    assert same_bits(got, want)
+    for scale in (1e-12, 1e-9, 1e-6, 1.0):
+        for size in ((7,), (5, 9)):
+            x, y = rng.normal(size=(2,) + size) * scale
+            assert same_bits(common._bearing(req, x, y), bearing_by_hypot(req, x, y))
+    for x, y in zip(ex.ravel().tolist(), ey.ravel().tolist()):
+        with np.errstate(invalid="ignore"):
+            got, want = common._bearing(req, -x, -y), bearing_by_hypot(req, -x, -y)
+        assert isinstance(got, np.ndarray) and got.ndim == 0
+        assert same_bits(got, want), (x, y)
+
+
+def test_recovery_turns_toward_the_goal_heading_on_the_goal():
+    for heading, sign in ((1.0, 1.0), (-1.0, -1.0)):
+        req = request(RobotState(2.0, 2.0, 0.0), (2.0, 2.0, heading))
+        out = common.recovery_output(req, 0.0, 7)
+        assert math.copysign(1.0, out.cmd.omega) == sign and out.cmd.omega != 0.0
+
+
+def test_bearing_off_the_goal_maps_no_hypot(monkeypatch):
+    req = request(RobotState(2.0, 2.0, 0.5), (2.6, 2.3, 1.25))
+    calls = []
+    hypot = common._hypot
+    monkeypatch.setattr(common, "_hypot", lambda a, b: calls.append(1) or hypot(a, b))
+    common._bearing(req, np.array([1.0, 2.0]), np.array([0.5, 3.0]))
+    common._bearing(req, 2.0, 2.0)
+    assert calls == []
+    common._bearing(req, np.array([2.6, 2.0]), np.array([2.3, 3.0]))
+    assert calls == [1]

@@ -4,6 +4,7 @@ Equality here is bitwise (`==`, `tobytes`), not approximate: the simulated
 rows of a trial must not move when the lattice is scored in one array pass.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,3 +234,21 @@ def test_dwa_plan_samples_the_field_once(rng, monkeypatch):
         statuses.append(out.status)
     assert statuses.count(PlannerStatus.INFEASIBLE) >= 3
     assert statuses.count(PlannerStatus.OK) >= 40
+
+
+def test_two_axis_lattice_plan_equals_per_candidate_scan(rng):
+    """dwa_plan rolls out an (n_v, 1) speed axis against an (n_omega,) turn
+    axis; headings near +-pi make many of its rollouts wrap."""
+    statuses = []
+    for i in range(60):
+        req = random_request(rng)
+        if i % 2:
+            r = req.robot
+            theta = math.copysign(math.pi - float(rng.uniform(0.0, 0.3)), r.theta)
+            req = dataclasses.replace(req, robot=RobotState(r.x, r.y, theta, r.v, r.omega))
+        cfg = DwaConfig() if i % 3 else DwaConfig(n_v=6, n_omega=9)
+        out = dwa_plan(req, cfg)
+        assert (out.cmd, out.trajectory, out.iterations, out.status) == reference_plan(req, cfg), i
+        statuses.append(out.status)
+    assert statuses.count(PlannerStatus.OK) >= 30
+    assert statuses.count(PlannerStatus.INFEASIBLE) >= 3

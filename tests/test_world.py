@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from navbench.errors import ParseError, ValidationError
 from navbench.gridmap import (CellState, OccupancyGrid, UnknownAs,
-                              distance_transform)
+                              distance_transform, mask_unknown_region)
 from navbench.world import (DynamicAgent, Scenario, load_scenario,
                             save_scenario, stamp_agents, step_agents)
 from navbench.worldgen import WorldParams, generate_world
@@ -321,3 +321,31 @@ def test_scene_validation_error_names_the_file(tmp_path, edit, match):
     with pytest.raises(ValidationError, match=match) as err:
         load_scenario(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def test_mask_of_the_wrong_length_is_a_validation_error():
+    scn = simple_scenario()
+    for rect in ((1, 2, 3), (1.0, 2.0, 3.0, 4.0, 5.0)):
+        with pytest.raises(ValidationError, match="mask needs 4 values"):
+            Scenario(name="demo", map=scn.map, start_goal_pairs=scn.start_goal_pairs,
+                     masks=(rect,))
+
+
+def test_mask_that_holds_no_cell_center_is_rejected(tmp_path):
+    """A 1 cm square between the cell centers of the 0.1 m room would leave
+    a scene of the partially_unknown group with a fully known prior."""
+    scn = simple_scenario()
+    rect = (2.04, 2.04, 0.01, 0.01)
+    with pytest.raises(ValidationError, match="covers no cell center"):
+        mask_unknown_region(scn.map, rect)
+    with pytest.raises(ValidationError, match="covers no cell center"):
+        dataclasses.replace(scn, masks=(rect,))
+    path = tmp_path / "demo.scene"
+    save_scenario(scn, path)
+    path.write_text(path.read_text() + "mask 2.04 2.04 0.01 0.01\n")
+    with pytest.raises(ValidationError, match="covers no cell center") as err:
+        load_scenario(path)
+    assert str(err.value).startswith(f"{path}: ")
+    # one cell center is enough
+    one = mask_unknown_region(scn.map, (2.04, 2.04, 0.02, 0.02))
+    assert int((one.cells == CellState.UNKNOWN).sum()) == 1
