@@ -84,7 +84,7 @@ def main(argv=None) -> int:
                               jobs=args.jobs, svg=args.svg,
                               planner_cfgs=_planner_cfgs(args))
             for result in suite.results:
-                print(f"{result.metadata['group']:18s} {result.scenario_name:16s} "
+                print(f"{result.metadata['group']:18s} {result.scenario.name:16s} "
                       f"pair {result.pair_index} {result.planner:4s} "
                       f"-> {result.outcome.value}")
             for desc, err in suite.crashed:

@@ -39,7 +39,7 @@ from .errors import NoPathError, ParseError, PlanInputError, ValidationError, ke
 from .global_planner import extract_local_reference, plan_global
 from .gridmap import (UNKNOWN, UnknownAs, crop_local, distance_at_clamped,
                       distance_transform, integrate_scan, raycast)
-from .local_planners import CONFIGS, LocalPlanRequest, PlannerStatus, plan
+from .local_planners import CONFIGS, LocalPlanRequest, PlannerStatus, plan, turn_toward
 from .metrics import (LogRecord, MetricsConfig, MetricsReport, NavLog, Outcome,
                       compute_report, write_log_csv)
 from .robot import KinematicLimits, RobotState, VelocityCommand, clamp_command, step, wrap_angle
@@ -75,7 +75,6 @@ class TrialConfig:
 @dataclass
 class TrialResult:
     scenario: Scenario
-    scenario_name: str
     planner: str
     pair_index: int
     log: NavLog
@@ -167,8 +166,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
 
         if global_path is None:
             bearing = math.atan2(goal[1] - robot.y, goal[0] - robot.x)
-            err = wrap_angle(bearing - robot.theta)
-            desired = VelocityCommand(0.0, math.copysign(limits.omega_max / 2.0, err))
+            desired = VelocityCommand(0.0, turn_toward(bearing, robot, limits))
             c_val = 0.0
             infeasible = True
         else:
@@ -236,8 +234,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         "outcome": outcome.value,
         "wall_ms": f"{wall_ms:.3f}",
     }
-    return TrialResult(scenario, scenario.name, planner_name, pair_index,
-                       log, report, metadata)
+    return TrialResult(scenario, planner_name, pair_index, log, report, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +268,12 @@ def trial_filename(group: str, scenario: str, pair: int, planner: str) -> str:
 
 
 def _run_one(args):
+    """run_trial on one work item; a trial that raises returns its exception."""
     scenario, planner, pair, cfg, planner_cfg = args
-    return run_trial(scenario, planner, pair, cfg, planner_cfg)
+    try:
+        return run_trial(scenario, planner, pair, cfg, planner_cfg)
+    except Exception as exc:
+        return exc
 
 
 @dataclass
@@ -308,32 +309,24 @@ def run_suite(manifest_path, planners, cfg: TrialConfig, out_dir,
     planner_cfgs = planner_cfgs or {}
     work = [(scn, planner, pair, cfg, planner_cfgs.get(planner))
             for _, scn, planner, pair in jobs_spec]
-    outputs = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_one, w) for w in work]
-            for fut in futures:
-                try:
-                    outputs.append(fut.result())
-                except Exception as exc:
-                    outputs.append(exc)
+            # a worker that dies fails its future: that trial crashed, the suite goes on
+            outputs = [fut.exception() or fut.result() for fut in futures]
     else:
-        for w in work:
-            try:
-                outputs.append(_run_one(w))
-            except Exception as exc:
-                outputs.append(exc)
+        outputs = [_run_one(w) for w in work]
 
     for (group, scn, planner, pair), out in zip(jobs_spec, outputs):
         if isinstance(out, Exception):
             crashed.append((f"{group}/{scn.name}/pair{pair}/{planner}", repr(out)))
             continue
         out.metadata["group"] = group
-        results.append((group, out))
+        results.append(out)
         csv_path = os.path.join(out_dir, trial_filename(group, scn.name, pair, planner))
         write_log_csv(out.log, csv_path, out.metadata)
         if svg:
             emit_trajectory_svg(out, csv_path[:-4] + ".svg")
 
     table_paths = write_group_tables(out_dir)
-    return SuiteResult([r for _, r in results], crashed, out_dir, table_paths)
+    return SuiteResult(results, crashed, out_dir, table_paths)

@@ -7,7 +7,7 @@ import typing
 from ..errors import ParseError, ValidationError, finite, keyed_lines
 from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
                      forward_simulate, recovery_output, score_components,
-                     terminal_output, trajectory_min_clearance)
+                     terminal_output, trajectory_min_clearance, turn_toward)
 from .dwa import DwaConfig, dwa_plan, dynamic_window
 from .teb import BandProblem, TebConfig, optimize_band, teb_plan
 

@@ -228,6 +228,11 @@ def _hold_output(req: LocalPlanRequest, omega: float, t_start: float,
     return PlannerOutput(cmd, ((r.x, r.y, r.theta, 0.0),), ms, iterations, status)
 
 
+def turn_toward(bearing: float, robot: RobotState, limits: KinematicLimits) -> float:
+    """Turn rate in place toward `bearing`: omega_max / 2, signed by the error."""
+    return math.copysign(limits.omega_max / 2.0, wrap_angle(bearing - robot.theta))
+
+
 def recovery_output(req: LocalPlanRequest, t_start: float, iterations: int) -> PlannerOutput:
     """Rotate in place toward the local goal at omega_max / 2; stop
     entirely if the current pose is already in collision."""
@@ -235,8 +240,7 @@ def recovery_output(req: LocalPlanRequest, t_start: float, iterations: int) -> P
     if float(sample_field(req.local_field, r.x, r.y)) < req.limits.radius:
         omega = 0.0
     else:
-        err = wrap_angle(_bearing(req, r.x, r.y) - r.theta)
-        omega = (1.0 if err >= 0 else -1.0) * req.limits.omega_max / 2.0
+        omega = turn_toward(_bearing(req, r.x, r.y), r, req.limits)
     return _hold_output(req, omega, t_start, iterations, PlannerStatus.INFEASIBLE)
 
 

@@ -8,11 +8,10 @@ import math
 import os
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NoPathError, PlanInputError, ValidationError
 from .global_planner import plan_global, segments_clear
-from .gridmap import FREE, OCCUPIED, OccupancyGrid, distance_transform
+from .gridmap import FREE, OccupancyGrid, distance_transform
 from .robot import KinematicLimits
 from .world import DynamicAgent, Scenario, save_scenario
 from .worldgen import WorldParams, generate_world
@@ -36,8 +35,6 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
     """
     field = distance_transform(grid)
     eligible = (grid.cells == FREE) & (field.values >= clearance)
-    labels, _ = ndimage.label(grid.cells != OCCUPIED,
-                              structure=np.ones((3, 3), dtype=int))
     cand = np.argwhere(eligible)
     if len(cand) < 2:
         raise ValidationError("grid has too little clear space for pair proposals")
@@ -50,8 +47,6 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
         i, j = rng.integers(0, len(cand), size=2)
         sy, sx = cand[i]
         gy, gx = cand[j]
-        if labels[sy, sx] != labels[gy, gx]:
-            continue
         s = grid.cell_center(int(sx), int(sy))
         g = grid.cell_center(int(gx), int(gy))
         if math.hypot(g[0] - s[0], g[1] - s[1]) < min_euclid:

@@ -50,7 +50,7 @@ def emit_trajectory_svg(result, path) -> None:
     parts = [f'<?xml version="1.0" encoding="UTF-8"?>',
              f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW_W:.0f}" '
              f'height="{view_h:.0f}" viewBox="0 0 {VIEW_W:.0f} {view_h:.0f}">',
-             f'<title>{escape(result.scenario_name)} / {escape(result.planner)} '
+             f'<title>{escape(result.scenario.name)} / {escape(result.planner)} '
              f'/ pair {result.pair_index}</title>',
              f'<rect width="100%" height="100%" fill="white"/>']
     parts += _cell_rects(prior, UNKNOWN, "#cccccc", scale, view_h)

@@ -9,6 +9,7 @@ stamped into the planning grids each control tick.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -25,12 +26,25 @@ from .robot import KinematicLimits
 AGENT_MODES = ("loop", "ping_pong")
 
 
+@functools.lru_cache(maxsize=256)
+def _route(waypoints, mode):
+    """The polyline through `waypoints` (closed in loop mode), derived once and
+    shared: vertices, segment vectors and lengths, arc at each vertex, total."""
+    pts = np.asarray(waypoints + waypoints[:1] if mode == "loop" else waypoints)
+    deltas = np.diff(pts, axis=0)
+    lengths = np.linalg.norm(deltas, axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    return pts, deltas, lengths, cum, lengths.sum()
+
+
 @dataclass(frozen=True)
 class DynamicAgent:
     """Disc obstacle following a waypoint polyline at constant speed.
 
     `arc` is the current distance along the polyline from the first waypoint;
     loop mode closes the polyline, ping_pong reflects at both ends.
+    `step_agents` keeps `arc` in [0, period), the route's length (twice it in
+    ping_pong); the route is derived once per (waypoints, mode), not per step.
     """
 
     radius: float
@@ -54,36 +68,21 @@ class DynamicAgent:
             raise ValidationError(f"agent mode must be one of {AGENT_MODES}")
         object.__setattr__(self, "waypoints", wps)
 
-    def _segments(self):
-        pts = list(self.waypoints)
-        if self.mode == "loop":
-            pts.append(pts[0])
-        pts = np.asarray(pts)
-        deltas = np.diff(pts, axis=0)
-        lengths = np.linalg.norm(deltas, axis=1)
-        return pts, deltas, lengths
-
     @property
     def path_length(self) -> float:
-        return float(self._segments()[2].sum())
+        return float(_route(self.waypoints, self.mode)[-1])
 
     @property
     def position(self) -> tuple[float, float]:
-        pts, deltas, lengths = self._segments()
-        total = lengths.sum()
-        s = self._folded_arc(total)
-        cum = np.concatenate([[0.0], np.cumsum(lengths)])
+        pts, deltas, lengths, cum, total = _route(self.waypoints, self.mode)
+        s = self.arc % (total if self.mode == "loop" else 2.0 * total)
+        if s > total:  # on ping_pong's way back
+            s = 2.0 * total - s
         i = int(np.searchsorted(cum, s, side="right")) - 1
         i = min(max(i, 0), len(lengths) - 1)
         frac = (s - cum[i]) / lengths[i]
         p = pts[i] + frac * deltas[i]
         return (float(p[0]), float(p[1]))
-
-    def _folded_arc(self, total: float) -> float:
-        if self.mode == "loop":
-            return self.arc % total
-        m = self.arc % (2.0 * total)
-        return 2.0 * total - m if m > total else m
 
 
 def step_agents(agents, dt: float):

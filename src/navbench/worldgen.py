@@ -15,6 +15,8 @@ from scipy import ndimage
 from .errors import ValidationError
 from .gridmap import FREE, OCCUPIED, OccupancyGrid
 
+ACUTE_TURN_DEG = 135.0  # corridor_acute's heading change at its junction
+
 @dataclass(frozen=True)
 class WorldParams:
     size_x: float
@@ -50,11 +52,10 @@ def generate_world(kind: str, params: WorldParams, seed: int = 0) -> OccupancyGr
                          (0.0, 0.0), cells)
 
 
-def _bordered(params: WorldParams, fill=FREE) -> np.ndarray:
-    nx, ny = params.nx, params.ny
+def _bordered(nx: int, ny: int) -> np.ndarray:
     if nx < 5 or ny < 5:
         raise ValidationError("world too small for a bordered map")
-    cells = np.full((ny, nx), fill, dtype=np.uint8)
+    cells = np.full((ny, nx), FREE, dtype=np.uint8)
     cells[0, :] = OCCUPIED
     cells[-1, :] = OCCUPIED
     cells[:, 0] = OCCUPIED
@@ -63,12 +64,12 @@ def _bordered(params: WorldParams, fill=FREE) -> np.ndarray:
 
 
 def _open_room(params: WorldParams, seed: int) -> np.ndarray:
-    return _bordered(params)
+    return _bordered(params.nx, params.ny)
 
 
 def _office(params: WorldParams, seed: int) -> np.ndarray:
     """Rooms carved by recursive wall splits, one door per wall."""
-    cells = _bordered(params)
+    cells = _bordered(params.nx, params.ny)
     rng = random.Random(seed)
     door = params.passage_cells
     min_room = max(2 * door, int(round(2.0 / params.resolution)))
@@ -175,11 +176,7 @@ def _corridor_u(params: WorldParams, seed: int) -> np.ndarray:
         raise ValidationError("corridor_u too narrow for its passage width")
     ny = legs * p + (legs - 1) + 2
     nx = params.nx
-    cells = np.full((ny, nx), FREE, dtype=np.uint8)
-    cells[0, :] = OCCUPIED
-    cells[-1, :] = OCCUPIED
-    cells[:, 0] = OCCUPIED
-    cells[:, -1] = OCCUPIED
+    cells = _bordered(nx, ny)
     chamfer = max(1, int(round(p / 5)))
     for k in range(legs - 1):
         wy = 1 + p + k * (p + 1)
@@ -200,9 +197,9 @@ def _corridor_u(params: WorldParams, seed: int) -> np.ndarray:
     return cells
 
 
-def _corridor_acute(params: WorldParams, seed: int, turn_deg: float = 135.0) -> np.ndarray:
+def _corridor_acute(params: WorldParams, seed: int) -> np.ndarray:
     """Two corridor legs carved into solid rock; the heading change at the
-    junction is `turn_deg` (an acute interior angle)."""
+    junction is ACUTE_TURN_DEG (an acute interior angle)."""
     nx, ny = params.nx, params.ny
     if nx < 5 or ny < 5:
         raise ValidationError("world too small")
@@ -213,7 +210,7 @@ def _corridor_acute(params: WorldParams, seed: int, turn_deg: float = 135.0) -> 
 
     corner = np.array([params.size_x - margin, margin + half])
     a_start = np.array([margin, corner[1]])
-    heading = math.radians(turn_deg)
+    heading = math.radians(ACUTE_TURN_DEG)
     direction = np.array([math.cos(heading), math.sin(heading)])
     # Second leg runs until it meets the top or left margin.
     t_candidates = []

@@ -185,3 +185,20 @@ def test_each_tick_aims_at_one_local_goal(suite, monkeypatch):
             ax, ay = req.reference.points[-2]
             assert req.goal == (tx, ty, math.atan2(ty - ay, tx - ax))
     assert 0 < at_path_end < len(ticks) == 30
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_trial_that_raises_is_listed_as_crashed(suite, tmp_path, jobs):
+    """TEB refuses a d_min below the robot radius on its first plan, so its
+    trial raises; the suite lists it in `crashed` and still writes the other
+    trial's CSV and the tables, serially and in the pool."""
+    scn, manifest = suite
+    out = str(tmp_path / "out")
+    result = harness.run_suite(manifest, ["dwa", "teb"], CFG, out, jobs=jobs,
+                               planner_cfgs={"teb": local_planners.TebConfig(d_min=0.1)})
+    assert [desc for desc, _ in result.crashed] == [f"static/{scn.name}/pair0/teb"]
+    assert result.crashed[0][1].startswith("ValidationError(")
+    assert [(r.planner, r.outcome) for r in result.results] == [("dwa", Outcome.TIMEOUT)]
+    assert sorted(os.listdir(out)) == [
+        harness.trial_filename("static", scn.name, 0, "dwa"),
+        "table_static.csv", "table_static.md"]
