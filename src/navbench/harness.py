@@ -10,7 +10,10 @@ unchanged, and which bounds its search otherwise), plan locally toward one
 local goal (the reference end with its last segment's heading, or the trial
 goal at the path end) on a crop of the tick map, clamp the command, integrate
 physics in sub-steps, and log one record (one clearance sample while the two
-fields are one).
+fields are one).  Then the tick is judged once, the first match deciding:
+sensed clearance below the radius is COLLISION, an infeasible streak past the
+recovery budget PLANNER_FAILURE, a robot off the truth map COLLISION, the goal
+pose within tolerance SUCCESS, and the timeout TIMEOUT.
 
 The local field is the window of the sensed field over the crop, unless the
 crop holds Unknown cells; then it is the crop's own transform with Unknown as
@@ -120,27 +123,8 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
     field_map = None  # the tick map sensed_field was built from
     outcome = None
     substeps = round(cfg.control_period / cfg.physics_dt)
-    max_ticks = int(math.ceil(cfg.timeout / cfg.control_period)) + 2
 
-    for _ in range(max_ticks):
-        if not truth.contains(robot.x, robot.y):
-            outcome = Outcome.COLLISION
-            break
-        if _goal_reached(robot, goal, cfg):
-            if not records:
-                tick_map = stamp_agents(sensed, agents)
-                f = distance_transform(tick_map, UnknownAs.FREE)
-                d = distance_at_clamped(f, robot.x, robot.y)
-                records.append(LogRecord(0.0, robot.x, robot.y, robot.theta,
-                                         0.0, 0.0, d, 0.0,
-                                         d_true=distance_at_clamped(
-                                             static_truth_field, robot.x, robot.y)))
-            outcome = Outcome.SUCCESS
-            break
-        if t >= cfg.timeout - 1e-9:
-            outcome = Outcome.TIMEOUT
-            break
-
+    while outcome is None:
         # sense: map-building scans are cast against the static truth, in the
         # prior's frame; agents enter the planning grids through stamping only.
         scan = raycast(truth, robot.pose(), scenario.scan_spec)
@@ -206,18 +190,17 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         records.append(LogRecord(t, robot.x, robot.y, robot.theta,
                                  robot.v, robot.omega, d, c_val, d_true=d_true))
 
+        infeasible_streak = infeasible_streak + 1 if infeasible else 0
         if d < limits.radius:
             outcome = Outcome.COLLISION
-            break
-        if infeasible:
-            infeasible_streak += 1
-            if infeasible_streak > cfg.recovery_budget:
-                outcome = Outcome.PLANNER_FAILURE
-                break
-        else:
-            infeasible_streak = 0
-    if outcome is None:
-        outcome = Outcome.TIMEOUT
+        elif infeasible and infeasible_streak > cfg.recovery_budget:
+            outcome = Outcome.PLANNER_FAILURE
+        elif not truth.contains(robot.x, robot.y):
+            outcome = Outcome.COLLISION
+        elif _goal_reached(robot, goal, cfg):
+            outcome = Outcome.SUCCESS
+        elif t >= cfg.timeout - 1e-9:
+            outcome = Outcome.TIMEOUT
 
     log = NavLog(tuple(records), outcome)
     report = compute_report(log, MetricsConfig(d_safe=cfg.d_safe))

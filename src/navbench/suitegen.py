@@ -17,24 +17,25 @@ from .world import DynamicAgent, Scenario, save_scenario
 from .worldgen import WorldParams, generate_world
 
 PAIR_CLEARANCE = 0.35
+AGENT_RADIUS = 0.25
+AGENT_SPEED = 0.6
 
 
-def _path_crosses(path, rect) -> bool:
+def _in_rect(point, rect) -> bool:
     rx, ry, rw, rh = rect
-    return any(rx <= x <= rx + rw and ry <= y <= ry + rh for x, y in path.points)
+    return rx <= point[0] <= rx + rw and ry <= point[1] <= ry + rh
 
 
 def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
-                  min_euclid: float, max_path: float,
-                  clearance: float = PAIR_CLEARANCE,
-                  require_rect=None, avoid_rect_start=False):
-    """Deterministically sample n validated start/goal pose pairs.
+                  min_euclid: float, max_path: float, require_rect=None):
+    """Deterministically sample n validated start/goal pose pairs, each start
+    outside `require_rect` and each path crossing it, if one is given.
 
     Pose headings follow the planned path's first/last segment so the goal
     yaw is always reachable along the approach direction.
     """
     field = distance_transform(grid)
-    eligible = (grid.cells == FREE) & (field.values >= clearance)
+    eligible = (grid.cells == FREE) & (field.values >= PAIR_CLEARANCE)
     cand = np.argwhere(eligible)
     if len(cand) < 2:
         raise ValidationError("grid has too little clear space for pair proposals")
@@ -53,17 +54,15 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
             continue
         if any(math.hypot(s[0] - p[0], s[1] - p[1]) < 1.0 for p in starts):
             continue
-        if require_rect is not None and avoid_rect_start:
-            rx, ry, rw, rh = require_rect
-            if rx <= s[0] <= rx + rw and ry <= s[1] <= ry + rh:
-                continue
+        if require_rect is not None and _in_rect(s, require_rect):
+            continue
         try:
             path = plan_global(grid, s, g, KinematicLimits.radius, field=field)
         except (NoPathError, PlanInputError):
             continue
         if path.cumulative_length > max_path or len(path.points) < 2:
             continue
-        if require_rect is not None and not _path_crosses(path, require_rect):
+        if require_rect is not None and not any(_in_rect(p, require_rect) for p in path.points):
             continue
         p0, p1 = path.points[0], path.points[1]
         s_th = math.atan2(p1[1] - p0[1], p1[0] - p0[0])
@@ -77,12 +76,11 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
 
 
 def propose_agent_routes(grid: OccupancyGrid, n_agents: int, seed: int, pairs, *,
-                         radius: float = 0.25, speed: float = 0.6,
                          min_len: float = 2.5, max_len: float = 8.0):
     """Straight back-and-forth walking routes with clearance for the disc and
     distance from every trial start so the robot never spawns inside one."""
     field = distance_transform(grid)
-    eligible = (grid.cells == FREE) & (field.values >= radius + 0.15)
+    eligible = (grid.cells == FREE) & (field.values >= AGENT_RADIUS + 0.15)
     cand = np.argwhere(eligible)
     rng = np.random.default_rng(seed)
     keepout = [(s[0], s[1]) for s, _ in pairs]
@@ -98,11 +96,12 @@ def propose_agent_routes(grid: OccupancyGrid, n_agents: int, seed: int, pairs, *
         length = math.hypot(b[0] - a[0], b[1] - a[1])
         if not min_len <= length <= max_len:
             continue
-        if not segments_clear(field, a, [b], [max(2, int(length / 0.1) + 1)], radius + 0.1)[0]:
+        if not segments_clear(field, a, [b], [max(2, int(length / 0.1) + 1)],
+                              AGENT_RADIUS + 0.1)[0]:
             continue
         if any(math.hypot(a[0] - k[0], a[1] - k[1]) < 1.5 for k in keepout):
             continue
-        agents.append(DynamicAgent(radius, speed, (a, b), "ping_pong"))
+        agents.append(DynamicAgent(AGENT_RADIUS, AGENT_SPEED, (a, b), "ping_pong"))
     if len(agents) < n_agents:
         raise ValidationError(f"could only place {len(agents)}/{n_agents} agents")
     return tuple(agents)
@@ -145,8 +144,7 @@ def build_default_suite(root, seed: int = 0, pairs_per_scene: int = 3) -> str:
 
     mask = (4.8, 3.6, 6.4, 4.8)  # centered rectangle of the office map
     masked_pairs = propose_pairs(office, max(2, n - 1), seed + 16,
-                                 min_euclid=5.0, max_path=14.0,
-                                 require_rect=mask, avoid_rect_start=True)
+                                 min_euclid=5.0, max_path=14.0, require_rect=mask)
     add("office_masked", office, masked_pairs, masks=(mask,))
 
     dyn_pairs = propose_pairs(office, 2, seed + 17, min_euclid=6.0, max_path=14.0)

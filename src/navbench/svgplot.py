@@ -57,7 +57,7 @@ def emit_trajectory_svg(result, path) -> None:
     parts += _cell_rects(grid, OCCUPIED, "#333333", scale, view_h)
 
     for agent in result.scenario.agents:
-        parts.append(_polyline(agent.waypoints, "#d07000", 2, scale, view_h,
+        parts.append(_polyline(agent.vertices, "#d07000", 2, scale, view_h,
                                ox, oy, dash="6,4"))
 
     xy = [(r.x, r.y) for r in result.log.records]

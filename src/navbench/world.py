@@ -69,6 +69,11 @@ class DynamicAgent:
         object.__setattr__(self, "waypoints", wps)
 
     @property
+    def vertices(self) -> np.ndarray:
+        """The polyline the agent drives: its waypoints, closed in loop mode."""
+        return _route(self.waypoints, self.mode)[0]
+
+    @property
     def path_length(self) -> float:
         return float(_route(self.waypoints, self.mode)[-1])
 

@@ -77,16 +77,9 @@ def _office(params: WorldParams, seed: int) -> np.ndarray:
     def split(x0, y0, x1, y1, depth):
         # region interior is [x0, x1) x [y0, y1)
         w, h = x1 - x0, y1 - y0
-        if depth > 6 or (w < 2 * min_room + 1 and h < 2 * min_room + 1):
+        if depth > 6 or max(w, h) < 2 * min_room + 1:
             return
-        vertical = w >= h
-        if vertical and w < 2 * min_room + 1:
-            vertical = False
-        if not vertical and h < 2 * min_room + 1:
-            vertical = True
-            if w < 2 * min_room + 1:
-                return
-        if vertical:
+        if w >= h:  # the longer side fits two rooms and the wall between
             wx = rng.randrange(x0 + min_room, x1 - min_room)
             gap0 = rng.randrange(y0, y1 - door + 1)
             cells[y0:y1, wx] = OCCUPIED
