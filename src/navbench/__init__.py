@@ -24,7 +24,7 @@ from .robot import (KinematicLimits, RobotState, VelocityCommand,
                     clamp_command, step, wrap_angle)
 from .suitegen import build_default_suite
 from .world import DynamicAgent, Scenario, load_scenario, save_scenario, \
-    stamp_agents, step_agents
+    stamp_agents
 from .worldgen import WorldParams, generate_world
 
 __version__ = "0.1.0"

@@ -223,12 +223,11 @@ def distance_transform(grid: OccupancyGrid, unknown_as: UnknownAs = UnknownAs.FR
     return DistanceField(grid.width, grid.height, grid.resolution, grid.origin, values)
 
 
-def signed_distance_field(grid: OccupancyGrid,
-                          unknown_as: UnknownAs = UnknownAs.FREE) -> DistanceField:
-    """Signed variant for gradient-based planners: positive clearance outside
-    obstacles, negative penetration depth inside, so the gradient keeps
-    pointing out of occupied regions."""
-    occ = _obstacles(grid, unknown_as)
+def signed_distance_field(grid: OccupancyGrid) -> DistanceField:
+    """Signed variant for gradient-based planners, with Unknown as Occupied:
+    positive clearance outside obstacles, negative penetration depth inside,
+    so the gradient keeps pointing out of occupied regions."""
+    occ = _obstacles(grid, UnknownAs.OCCUPIED)
     if not occ.any():
         values = np.full((grid.height, grid.width), np.inf)
     elif occ.all():

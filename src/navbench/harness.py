@@ -2,18 +2,19 @@
 
 Each control tick: sense (one raycast, whose beams are marched only when
 fusing the scan can change the sensed map: while it has Unknown cells or lacks
-an obstacle of the truth), stamp agents, refresh the sensed field (rebuilt only
-when the tick map changed; it is also the ground-truth field while the sensed
-map equals the truth), refresh the global reference (a replan is handed the
-last path, whose search it reuses while the tick map and its field are
-unchanged, and which bounds its search otherwise), plan locally toward one
-local goal (the reference end with its last segment's heading, or the trial
-goal at the path end) on a crop of the tick map, clamp the command, integrate
-physics in sub-steps, and log one record (one clearance sample while the two
-fields are one).  Then the tick is judged once, the first match deciding:
-sensed clearance below the radius is COLLISION, an infeasible streak past the
-recovery budget PLANNER_FAILURE, a robot off the truth map COLLISION, the goal
-pose within tolerance SUCCESS, and the timeout TIMEOUT.
+an obstacle of the truth), stamp the agents at the tick's start time, refresh
+the sensed field (rebuilt only when the tick map changed; it is also the
+ground-truth field while the sensed map equals the truth), refresh the global
+reference (a replan is handed the last path, whose search it reuses while the
+tick map and its field are unchanged, and which bounds its search otherwise),
+plan locally toward one local goal (the reference end with its last segment's
+heading, or the trial goal at the path end) on a crop of the tick map, clamp
+the command, integrate the robot's physics in sub-steps, and log one record
+(one clearance sample while the two fields are one).  Then the tick is judged
+once, the first match deciding: sensed clearance below the radius is
+COLLISION, an infeasible streak past the recovery budget PLANNER_FAILURE, a
+robot off the truth map COLLISION, the goal pose within tolerance SUCCESS, and
+the timeout TIMEOUT.
 
 The local field is the window of the sensed field over the crop, unless the
 crop holds Unknown cells; then it is the crop's own transform with Unknown as
@@ -46,7 +47,7 @@ from .local_planners import CONFIGS, LocalPlanRequest, PlannerStatus, plan, turn
 from .metrics import (LogRecord, MetricsConfig, MetricsReport, NavLog, Outcome,
                       compute_report, write_log_csv)
 from .robot import KinematicLimits, RobotState, VelocityCommand, clamp_command, step, wrap_angle
-from .world import Scenario, load_scenario, stamp_agents, step_agents
+from .world import Scenario, load_scenario, stamp_agents
 
 SUITE_GROUPS = ("static", "partially_unknown", "dynamic")
 
@@ -110,7 +111,7 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
     limits = KinematicLimits()
     start, goal = scenario.start_goal_pairs[pair_index]
     robot = RobotState(*start)
-    agents = list(scenario.agents)
+    agents = scenario.agents
     truth = scenario.map
     sensed = scenario.prior_map
     static_truth_field = distance_transform(truth, UnknownAs.FREE)
@@ -129,14 +130,14 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
         # prior's frame; agents enter the planning grids through stamping only.
         scan = raycast(truth, robot.pose(), scenario.scan_spec)
         sensed = integrate_scan(sensed, scan)
-        tick_map = stamp_agents(sensed, agents)
+        tick_map = stamp_agents(sensed, agents, t)
         if field_map is None or not array_equal(tick_map.cells, field_map.cells):
             sensed_field = distance_transform(tick_map, UnknownAs.FREE)
             field_map = tick_map
         if array_equal(sensed.cells, truth.cells):
             truth_field = sensed_field  # stamped truth == tick_map, its source
         elif agents:
-            truth_field = distance_transform(stamp_agents(truth, agents), UnknownAs.FREE)
+            truth_field = distance_transform(stamp_agents(truth, agents, t), UnknownAs.FREE)
         else:
             truth_field = static_truth_field
 
@@ -180,8 +181,6 @@ def run_trial(scenario: Scenario, planner_name: str, pair_index: int,
 
         for _ in range(substeps):
             robot = step(robot, cmd, cfg.physics_dt)
-            if agents:
-                agents = step_agents(agents, cfg.physics_dt)
         t += cfg.control_period
 
         d = distance_at_clamped(sensed_field, robot.x, robot.y)

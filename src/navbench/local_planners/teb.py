@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import PlanInputError, ValidationError
 from ..global_planner import segments_clear
-from ..gridmap import UnknownAs, sample_field, signed_distance_field
+from ..gridmap import sample_field, signed_distance_field
 from ..robot import VelocityCommand, clamp_command, wrap_angle
 from .common import (LocalPlanRequest, PlannerOutput, PlannerStatus,
                      recovery_output, terminal_output)
@@ -342,7 +342,7 @@ def teb_plan(req: LocalPlanRequest, cfg: TebConfig = TebConfig()) -> PlannerOutp
     xs[0], ys[0] = r.x, r.y
     dts = np.full(cfg.n_poses - 1, cfg.dt_init)
 
-    repulsion = signed_distance_field(req.local_map, UnknownAs.OCCUPIED)
+    repulsion = signed_distance_field(req.local_map)
     problem = BandProblem((r.x, r.y, r.theta), repulsion,
                           req.goal, req.limits, cfg)
     z0 = problem.pack(xs, ys, ths, dts)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, finite
 from .gridmap import INF_SENTINEL_M
 
 
@@ -151,10 +151,7 @@ def smoothness_velocity(log: NavLog) -> float:
         raise ValidationError("velocity smoothness needs at least two records")
     t = log.column("t")
     v = log.column("v")
-    dt = np.diff(t)
-    if (dt <= 0).any():
-        raise ValidationError("duplicate timestamps")
-    return float(np.abs(np.diff(v) / dt).mean())
+    return float(np.abs(np.diff(v) / np.diff(t)).mean())
 
 
 def path_length(log: NavLog) -> float:
@@ -218,7 +215,8 @@ def write_log_csv(log: NavLog, path, metadata: dict | None = None) -> None:
 
 
 def read_log_csv(path) -> tuple[NavLog, dict]:
-    """Read a `write_log_csv` file; it must name a valid outcome and an integer pair, if any."""
+    """Read a `write_log_csv` file; it must name a valid outcome and an integer pair, if any.
+    A bad row raises ParseError at its line, a bad sequence of rows at the file."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("t,x,y"):
@@ -238,13 +236,15 @@ def read_log_csv(path) -> tuple[NavLog, dict]:
         if len(parts) not in (8, 9):
             raise ParseError(f"expected 8 or 9 columns, got {len(parts)}", path=path, line=ln)
         try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
+            vals = [finite(p) for p in parts]
+            records.append(LogRecord(*vals[:8], d_true=vals[8] if len(vals) == 9 else None))
+        except (ValueError, ValidationError) as exc:
             raise ParseError(str(exc), path=path, line=ln)
-        d_true = vals[8] if len(vals) == 9 else None
-        records.append(LogRecord(*vals[:8], d_true=d_true))
     try:
         outcome, _ = Outcome(meta.get("outcome")), int(meta.get("pair", 0))
     except ValueError as exc:
         raise ParseError(f"bad or missing '# outcome:', or bad '# pair:': {exc}", path=path)
-    return NavLog(tuple(records), outcome), meta
+    try:
+        return NavLog(tuple(records), outcome), meta
+    except ValidationError as exc:
+        raise ParseError(str(exc), path=path)

@@ -26,6 +26,19 @@ def _in_rect(point, rect) -> bool:
     return rx <= point[0] <= rx + rw and ry <= point[1] <= ry + rh
 
 
+def _draws(grid: OccupancyGrid, field, clearance: float, seed: int):
+    """Up to 6000 seeded draws of two cell centres, each of a free cell whose
+    clearance in `field` is at least `clearance`."""
+    cand = np.argwhere((grid.cells == FREE) & (field.values >= clearance))
+    if len(cand) < 2:
+        raise ValidationError("grid has too little clear space to draw from")
+    rng = np.random.default_rng(seed)
+    for _ in range(6000):
+        i, j = rng.integers(0, len(cand), size=2)
+        (ay, ax), (by, bx) = cand[i], cand[j]
+        yield grid.cell_center(int(ax), int(ay)), grid.cell_center(int(bx), int(by))
+
+
 def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
                   min_euclid: float, max_path: float, require_rect=None):
     """Deterministically sample n validated start/goal pose pairs, each start
@@ -35,21 +48,11 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
     yaw is always reachable along the approach direction.
     """
     field = distance_transform(grid)
-    eligible = (grid.cells == FREE) & (field.values >= PAIR_CLEARANCE)
-    cand = np.argwhere(eligible)
-    if len(cand) < 2:
-        raise ValidationError("grid has too little clear space for pair proposals")
-    rng = np.random.default_rng(seed)
     pairs = []
     starts = []
-    for _ in range(6000):
+    for s, g in _draws(grid, field, PAIR_CLEARANCE, seed):
         if len(pairs) >= n:
             break
-        i, j = rng.integers(0, len(cand), size=2)
-        sy, sx = cand[i]
-        gy, gx = cand[j]
-        s = grid.cell_center(int(sx), int(sy))
-        g = grid.cell_center(int(gx), int(gy))
         if math.hypot(g[0] - s[0], g[1] - s[1]) < min_euclid:
             continue
         if any(math.hypot(s[0] - p[0], s[1] - p[1]) < 1.0 for p in starts):
@@ -80,19 +83,11 @@ def propose_agent_routes(grid: OccupancyGrid, n_agents: int, seed: int, pairs, *
     """Straight back-and-forth walking routes with clearance for the disc and
     distance from every trial start so the robot never spawns inside one."""
     field = distance_transform(grid)
-    eligible = (grid.cells == FREE) & (field.values >= AGENT_RADIUS + 0.15)
-    cand = np.argwhere(eligible)
-    rng = np.random.default_rng(seed)
     keepout = [(s[0], s[1]) for s, _ in pairs]
     agents = []
-    for _ in range(6000):
+    for a, b in _draws(grid, field, AGENT_RADIUS + 0.15, seed):
         if len(agents) >= n_agents:
             break
-        i, j = rng.integers(0, len(cand), size=2)
-        ay, ax = cand[i]
-        by, bx = cand[j]
-        a = grid.cell_center(int(ax), int(ay))
-        b = grid.cell_center(int(bx), int(by))
         length = math.hypot(b[0] - a[0], b[1] - a[1])
         if not min_len <= length <= max_len:
             continue

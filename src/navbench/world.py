@@ -3,8 +3,9 @@
 A Scenario is what its .scene file states: the ground-truth grid, the
 start/goal pairs, the agents, the scan and the masks.  The prior handed to
 the planners is derived, never stated: the map with every mask set Unknown.
-Dynamic agents move along fixed waypoint polylines at constant speed and get
-stamped into the planning grids each control tick.
+Dynamic agents move along fixed waypoint polylines at constant speed from the
+first waypoint at time 0, so each one's place is a function of trial time,
+and they get stamped into the planning grids at each control tick's start.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -41,17 +42,15 @@ def _route(waypoints, mode):
 class DynamicAgent:
     """Disc obstacle following a waypoint polyline at constant speed.
 
-    `arc` is the current distance along the polyline from the first waypoint;
-    loop mode closes the polyline, ping_pong reflects at both ends.
-    `step_agents` keeps `arc` in [0, period), the route's length (twice it in
-    ping_pong); the route is derived once per (waypoints, mode), not per step.
+    It starts on the first waypoint at trial time 0; `position(t)` is where it
+    stands at trial time `t`.  Loop mode closes the polyline, ping_pong
+    reflects at both ends.  The route is derived once per (waypoints, mode).
     """
 
     radius: float
     speed: float
     waypoints: tuple[tuple[float, float], ...]
     mode: str = "ping_pong"
-    arc: float = 0.0
 
     def __post_init__(self):
         if not self.speed > 0:
@@ -77,10 +76,9 @@ class DynamicAgent:
     def path_length(self) -> float:
         return float(_route(self.waypoints, self.mode)[-1])
 
-    @property
-    def position(self) -> tuple[float, float]:
+    def position(self, t: float) -> tuple[float, float]:
         pts, deltas, lengths, cum, total = _route(self.waypoints, self.mode)
-        s = self.arc % (total if self.mode == "loop" else 2.0 * total)
+        s = (self.speed * t) % (total if self.mode == "loop" else 2.0 * total)
         if s > total:  # on ping_pong's way back
             s = 2.0 * total - s
         i = int(np.searchsorted(cum, s, side="right")) - 1
@@ -90,31 +88,16 @@ class DynamicAgent:
         return (float(p[0]), float(p[1]))
 
 
-def step_agents(agents, dt: float):
-    """Advance every agent speed*dt along its polyline (exact across segment
-    boundaries); returns a new agent list."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    out = []
-    for a in agents:
-        total = a.path_length
-        arc = a.arc + a.speed * dt
-        # Keep the stored arc bounded so long trials do not lose precision.
-        period = total if a.mode == "loop" else 2.0 * total
-        arc = arc % period
-        out.append(replace(a, arc=arc))
-    return out
-
-
-def stamp_agents(grid: OccupancyGrid, agents) -> OccupancyGrid:
-    """Mark cells whose centers fall inside any agent disc as Occupied."""
+def stamp_agents(grid: OccupancyGrid, agents, t: float) -> OccupancyGrid:
+    """Mark cells whose centers fall inside any agent disc at trial time `t`
+    as Occupied."""
     if not agents:
         return grid
     new = np.array(grid.cells)
     ox, oy = grid.origin
     res = grid.resolution
     for a in agents:
-        px, py = a.position
+        px, py = a.position(t)
         ix0 = int(math.floor((px - a.radius - ox) / res))
         ix1 = int(math.floor((px + a.radius - ox) / res))
         iy0 = int(math.floor((py - a.radius - oy) / res))

@@ -233,8 +233,8 @@ def _sensed_field_builds(monkeypatch, scn, pair, ticks):
     builds = []
     stamp, transform = harness.stamp_agents, harness.distance_transform
 
-    def stamping(grid, agents):
-        out = stamp(grid, agents)
+    def stamping(grid, agents, t):
+        out = stamp(grid, agents, t)
         if grid is not scn.map:  # not the ground truth's stamping
             tick_maps.append(out)
         return out

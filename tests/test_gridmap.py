@@ -11,7 +11,7 @@ from navbench.gridmap import (CellState, DistanceField, OccupancyGrid, ScanSpec,
                               UnknownAs, beam_count, crop_local, distance_at,
                               distance_transform, integrate_scan, load_grid,
                               mask_unknown_region, raycast, sample_field,
-                              save_grid)
+                              save_grid, signed_distance_field)
 
 from conftest import brute_force_distance, random_grid
 
@@ -64,6 +64,13 @@ def test_unknown_policy():
     assert np.isinf(distance_transform(g, UnknownAs.FREE).values).all()
     f = distance_transform(g, UnknownAs.OCCUPIED)
     assert f.values[0, 0] == 0.0
+
+
+def test_signed_field_treats_unknown_as_occupied():
+    g = grid_from_rows(["??..", "....", "...."])
+    f = signed_distance_field(g)
+    assert f.values[0, 0] == f.values[0, 1] == -1.0
+    assert f.values[0, 2] == 1.0 and f.values[2, 3] == pytest.approx(math.hypot(2, 2))
 
 
 @settings(max_examples=25, deadline=None)

@@ -111,8 +111,8 @@ def _traced_trial(monkeypatch, scn, pair, ticks):
         log[-1]["sensed"] = integrate(*args)
         return log[-1]["sensed"]
 
-    def stamping(grid, agents):
-        out = stamp(grid, agents)
+    def stamping(grid, agents, t):
+        out = stamp(grid, agents, t)
         if grid is not scn.map:
             log[-1]["tick_map"] = out
         return out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navbench.errors import ValidationError
+from navbench.errors import ParseError, ValidationError
 from navbench.metrics import (LogRecord, MetricsConfig, NavLog, Outcome,
                               aggregate_reports, compute_report,
                               efficiency_compute, efficiency_travel_time,
@@ -259,3 +259,21 @@ def test_csv_inf_sentinel(tmp_path):
     assert "inf" not in text
     log2, _ = read_log_csv(path)
     assert log2.records[0].d == 1e9
+
+
+@pytest.mark.parametrize("row, column, value, at_line", [
+    (3, 0, "0", False),    # row 2's timestamp again: the rows, not one row, are bad
+    (3, 0, "nan", True),   # a non-finite timestamp
+    (2, 6, "nan", True),   # a non-finite clearance, once read as valid
+])
+def test_malformed_csv_row_names_the_file_and_line(tmp_path, row, column, value, at_line):
+    path = tmp_path / "trial.csv"
+    write_log_csv(make_log([0.0, 1.0, 2.0]), path)
+    lines = path.read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[column] = value
+    lines[row - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_log_csv(path)
+    assert str(err.value).startswith(f"{path}:{row}: " if at_line else f"{path}: ")

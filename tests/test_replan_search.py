@@ -145,7 +145,7 @@ def perturb(grid, field, start, goal, chain, rng):
 def test_replans_equal_full_searches(scenes, limits):
     rng = np.random.default_rng(23)
     grids = [scn.prior_map for scn in scenes.values()]
-    grids += [stamp_agents(scn.prior_map, scn.agents) for scn in scenes.values() if scn.agents]
+    grids += [stamp_agents(scn.prior_map, scn.agents, 0.0) for scn in scenes.values() if scn.agents]
     modes = {"reused": 0, "bounded": 0, "full": 0}
     errors = set()
     for grid in grids:

@@ -5,10 +5,13 @@ load through full validation, and the pair, agent and keep-out rules of
 import math
 import os
 
+import numpy as np
 import pytest
 
 from navbench import harness
-from navbench.suitegen import build_default_suite
+from navbench.errors import ValidationError
+from navbench.gridmap import CellState, OccupancyGrid
+from navbench.suitegen import build_default_suite, propose_agent_routes, propose_pairs
 from navbench.world import load_scenario
 
 STATIC = ("office", "house", "maze", "corridor_u", "corridor_acute")
@@ -67,3 +70,13 @@ def test_masked_starts_lie_outside_the_mask(suite):
     (rx, ry, rw, rh), = scn.masks
     for (sx, sy, _), _ in scn.start_goal_pairs:
         assert not (rx <= sx <= rx + rw and ry <= sy <= ry + rh)
+
+
+def test_a_grid_without_clear_space_is_a_validation_error():
+    cells = np.full((20, 20), CellState.OCCUPIED, dtype=np.uint8)
+    cells[10, 10] = CellState.FREE  # one clear cell cannot give two ends
+    grid = OccupancyGrid(20, 20, 0.1, (0.0, 0.0), cells)
+    with pytest.raises(ValidationError, match="too little clear space"):
+        propose_pairs(grid, 1, 0, min_euclid=0.5, max_path=5.0)
+    with pytest.raises(ValidationError, match="too little clear space"):
+        propose_agent_routes(grid, 1, 0, ())

@@ -33,9 +33,9 @@ def _run(monkeypatch, tmp_path, scn, reuse):
     stamp, transform = harness.stamp_agents, harness.distance_transform
     equal = harness.array_equal
 
-    def stamping(grid, agents):
+    def stamping(grid, agents, t):
         counts["truth stamps"] += grid is scn.map
-        return stamp(grid, agents)
+        return stamp(grid, agents, t)
 
     def transforming(*args):
         counts["transforms"] += 1

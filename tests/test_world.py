@@ -11,7 +11,7 @@ from navbench.errors import ParseError, ValidationError
 from navbench.gridmap import (CellState, OccupancyGrid, UnknownAs,
                               distance_transform, mask_unknown_region)
 from navbench.world import (DynamicAgent, Scenario, load_scenario,
-                            save_scenario, stamp_agents, step_agents)
+                            save_scenario, stamp_agents)
 from navbench.worldgen import WorldParams, generate_world
 
 from conftest import random_grid
@@ -36,35 +36,21 @@ def polyline_distance(point, waypoints, closed=False):
     return best
 
 
-def test_agent_advances_by_speed_dt():
+def test_agent_advances_by_speed_t():
     a = straight_agent()
-    (b,) = step_agents([a], 0.5)
-    assert b.position == pytest.approx((0.5, 0.0))
+    assert a.position(0.5) == pytest.approx((0.5, 0.0))
+    assert a.position(0.0) == (0.0, 0.0)
 
 
 def test_agent_lands_exactly_on_waypoint():
     a = DynamicAgent(0.2, 1.0, ((0.0, 0.0), (2.0, 0.0), (2.0, 3.0)))
-    (b,) = step_agents([a], 2.0)
-    assert b.position == pytest.approx((2.0, 0.0), abs=1e-12)
-
-
-def test_agent_step_size_invariance():
-    a = DynamicAgent(0.2, 0.7, ((0.0, 0.0), (3.0, 0.0), (3.0, 2.0)), "ping_pong")
-    fine = [a]
-    for _ in range(1000):
-        fine = step_agents(fine, 0.01)
-    coarse = [a]
-    for _ in range(10):
-        coarse = step_agents(coarse, 1.0)
-    fx, fy = fine[0].position
-    cx, cy = coarse[0].position
-    assert math.hypot(fx - cx, fy - cy) <= 1e-9
+    assert a.position(2.0) == pytest.approx((2.0, 0.0), abs=1e-12)
 
 
 def test_agent_ping_pong_reflects():
     a = straight_agent(length=2.0, speed=1.0)
-    (b,) = step_agents([a], 3.0)  # 3 m along a 2 m segment -> 1 m back
-    assert b.position == pytest.approx((1.0, 0.0), abs=1e-12)
+    # 3 m along a 2 m segment -> 1 m back
+    assert a.position(3.0) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 def test_agent_loop_wraps():
@@ -72,8 +58,7 @@ def test_agent_loop_wraps():
                      "loop")
     total = a.path_length  # closed polyline: 8 m
     assert total == pytest.approx(8.0)
-    (b,) = step_agents([a], 8.5)
-    assert b.position == pytest.approx((0.5, 0.0), abs=1e-12)
+    assert a.position(8.5) == pytest.approx((0.5, 0.0), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -81,10 +66,10 @@ def test_agent_loop_wraps():
        st.sampled_from(["loop", "ping_pong"]))
 def test_agent_stays_on_polyline(dts, mode):
     a = DynamicAgent(0.3, 0.9, ((0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (1.0, 3.0)), mode)
-    agents = [a]
+    t = 0.0
     for dt in dts:
-        agents = step_agents(agents, dt)
-        d = polyline_distance(agents[0].position, a.waypoints, closed=(mode == "loop"))
+        t += dt
+        d = polyline_distance(a.position(t), a.waypoints, closed=(mode == "loop"))
         assert d <= 1e-9
 
 
@@ -111,26 +96,26 @@ def test_stamp_agent_cell_count():
     g = OccupancyGrid.full_free(60, 60, 0.1)
     # cell-center aligned disc covers ~ pi * 0.25^2 / 0.01 = 19..21 cells
     a = DynamicAgent(0.25, 1.0, ((2.95, 2.95), (3.95, 2.95)))
-    count = (stamp_agents(g, [a]).cells == CellState.OCCUPIED).sum()
+    count = (stamp_agents(g, [a], 0.0).cells == CellState.OCCUPIED).sum()
     assert 19 <= count <= 21
     rng = np.random.default_rng(7)
     for _ in range(10):
         pos = tuple(rng.uniform(2.0, 4.0, size=2))
         a = DynamicAgent(0.25, 1.0, (pos, (pos[0] + 1.0, pos[1])))
-        stamped = stamp_agents(g, [a])
+        stamped = stamp_agents(g, [a], 0.0)
         count = (stamped.cells == CellState.OCCUPIED).sum()
         assert count == _disc_cell_oracle(g, pos, 0.25)
 
 
 def test_stamp_no_agents_identity():
     g = OccupancyGrid.full_free(10, 10, 0.1)
-    assert stamp_agents(g, []) is g
+    assert stamp_agents(g, [], 0.0) is g
 
 
 def test_stamp_agent_outside_grid():
     g = OccupancyGrid.full_free(10, 10, 0.1)
     a = DynamicAgent(0.25, 1.0, ((5.0, 5.0), (6.0, 5.0)))
-    stamped = stamp_agents(g, [a])
+    stamped = stamp_agents(g, [a], 0.0)
     assert np.array_equal(stamped.cells, g.cells)
 
 
