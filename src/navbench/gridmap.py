@@ -503,13 +503,11 @@ def load_grid(path) -> OccupancyGrid:
     if len(head) != 6 or head[0] != "grid":
         raise ParseError("expected header 'grid <w> <h> <res> <ox> <oy>'", path=path, line=1)
     try:
-        w, h = finite(head[1], int), finite(head[2], int)
-        res = finite(head[3])
-        origin = (finite(head[4]), finite(head[5]))
-    except ValueError as exc:
+        geometry = GridGeometry(finite(head[1], int), finite(head[2], int), finite(head[3]),
+                                (finite(head[4]), finite(head[5])))
+    except (ValueError, ValidationError) as exc:
         raise ParseError(f"bad header value: {exc}", path=path, line=1)
-    if w < 0 or h < 0:
-        raise ParseError(f"negative grid size {w} x {h}", path=path, line=1)
+    w, h = geometry.width, geometry.height
     if len(lines) < 1 + h:
         raise ParseError(f"expected {h} rows, found {len(lines) - 1}", path=path, line=len(lines))
     rows = lines[1:1 + h]
@@ -528,4 +526,4 @@ def load_grid(path) -> OccupancyGrid:
     for ln, row in enumerate(lines[1 + h:], start=2 + h):
         if row.strip():
             raise ParseError(f"row beyond the header's {h} rows", path=path, line=ln)
-    return OccupancyGrid(w, h, res, origin, states.reshape(h, w))
+    return OccupancyGrid(w, h, geometry.resolution, geometry.origin, states.reshape(h, w))

@@ -79,9 +79,10 @@ def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np
     The chained `arc_step`s are running sums (`np.add.accumulate`, which adds
     in order): headings from theta0 over the turns, positions from (x0, y0)
     over the chord increments.  `wrap_angle` returns |theta| < pi unchanged,
-    and pi itself, so poses equal the chained steps bit for bit once each
-    heading after theta0 outside (-pi, pi] is wrapped and the later turns are
-    re-added to it: one pass per wrap over the rollouts that still have one.
+    and pi itself, so one loop makes the headings equal the chained steps bit
+    for bit: each pass wraps every rollout's first heading after theta0 outside
+    (-pi, pi] and re-adds its later turns, until no heading is left outside.
+    (Past about 1e17 rad `wrap_angle` can miss the range: a heading re-wraps.)
     """
     omega = np.asarray(omega)
     half, chord, turn = arc_terms(v, omega, dt)
@@ -91,26 +92,19 @@ def forward_simulate(state: RobotState, v, omega, n_steps: int, dt: float) -> np
     th[..., 0] = state.theta
     th[..., 1:] = turn[..., None]
     np.add.accumulate(th, axis=-1, out=th)
-    redo = (np.abs(th[..., 1:]) >= math.pi).any(axis=-1)  # may wrap
-    if redo.any():  # a 0-d mask indexes as one rollout
-        rows, turns = th[redo], np.asarray(turn)[redo]
-        cols = np.arange(n_steps + 1)
-        done = np.zeros(len(rows), dtype=np.intp)  # per rollout: its last wrapped column
-        live = np.arange(len(rows))
-        while True:  # wrap the next heading outside (-pi, pi] of each live rollout
-            cur = rows[live]
-            over = ((cur > math.pi) | (cur <= -math.pi)) & (cols > done[live, None])
-            has = over.any(axis=-1)
-            if not has.any():
-                break
-            live, cur, k = live[has], cur[has], over[has].argmax(axis=-1)
-            at_k = (np.arange(live.size), k)
-            seq = np.where(cols > k[:, None], turns[live, None], 0.0)
-            seq[at_k] = wrap_angle(cur[at_k])
-            np.add.accumulate(seq, axis=-1, out=seq)
-            rows[live] = np.where(cols >= k[:, None], seq, cur)
-            done[live] = k
-        th[redo] = rows
+    cols = np.arange(n_steps + 1)
+    while True:
+        over = (th > math.pi) | (th <= -math.pi)
+        over[..., 0] = False
+        wraps = over.any(axis=-1)  # a 0-d mask indexes as one rollout
+        if not wraps.any():
+            break
+        rows, k = th[wraps], over[wraps].argmax(axis=-1)
+        at_k = (np.arange(k.size), k)
+        seq = np.where(cols > k[:, None], np.asarray(turn)[wraps][:, None], 0.0)
+        seq[at_k] = wrap_angle(rows[at_k])
+        np.add.accumulate(seq, axis=-1, out=seq)
+        th[wraps] = np.where(cols >= k[:, None], seq, rows)
     out[..., 2] = th
     for col, (start, trig) in enumerate(((state.x, np.cos), (state.y, np.sin))):
         pos = out[..., col]

@@ -49,13 +49,12 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
     """
     field = distance_transform(grid)
     pairs = []
-    starts = []
     for s, g in _draws(grid, field, PAIR_CLEARANCE, seed):
         if len(pairs) >= n:
             break
         if math.hypot(g[0] - s[0], g[1] - s[1]) < min_euclid:
             continue
-        if any(math.hypot(s[0] - p[0], s[1] - p[1]) < 1.0 for p in starts):
+        if any(math.hypot(s[0] - p[0], s[1] - p[1]) < 1.0 for p, _ in pairs):
             continue
         if require_rect is not None and _in_rect(s, require_rect):
             continue
@@ -72,7 +71,6 @@ def propose_pairs(grid: OccupancyGrid, n: int, seed: int, *,
         q0, q1 = path.points[-2], path.points[-1]
         g_th = math.atan2(q1[1] - q0[1], q1[0] - q0[0])
         pairs.append(((s[0], s[1], s_th), (g[0], g[1], g_th)))
-        starts.append(s)
     if len(pairs) < n:
         raise ValidationError(f"could only propose {len(pairs)}/{n} pairs")
     return tuple(pairs)

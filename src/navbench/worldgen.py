@@ -55,16 +55,9 @@ def generate_world(kind: str, params: WorldParams, seed: int = 0) -> OccupancyGr
 def _bordered(nx: int, ny: int) -> np.ndarray:
     if nx < 5 or ny < 5:
         raise ValidationError("world too small for a bordered map")
-    cells = np.full((ny, nx), FREE, dtype=np.uint8)
-    cells[0, :] = OCCUPIED
-    cells[-1, :] = OCCUPIED
-    cells[:, 0] = OCCUPIED
-    cells[:, -1] = OCCUPIED
+    cells = np.full((ny, nx), OCCUPIED, dtype=np.uint8)
+    cells[1:-1, 1:-1] = FREE
     return cells
-
-
-def _open_room(params: WorldParams, seed: int) -> np.ndarray:
-    return _bordered(params.nx, params.ny)
 
 
 def _office(params: WorldParams, seed: int) -> np.ndarray:
@@ -111,49 +104,34 @@ def _office(params: WorldParams, seed: int) -> np.ndarray:
 
 
 def _maze(params: WorldParams, seed: int) -> np.ndarray:
-    """Perfect maze (spanning tree) with corridors of the requested width."""
+    """Perfect maze (spanning tree) with corridors of the requested width: a
+    randomized depth-first search opens a (2 my + 1) x (2 mx + 1) lattice whose
+    odd rows and columns are cells (visited once open) and even ones walls,
+    then widens each lattice axis to grid cells with widths 1, p, 1, p, ..., 1."""
     p = params.passage_cells
-    wall = 1
-    pitch = p + wall
-    mx = (params.nx - wall) // pitch
-    my = (params.ny - wall) // pitch
+    mx = (params.nx - 1) // (p + 1)
+    my = (params.ny - 1) // (p + 1)
     if mx < 2 or my < 2:
         raise ValidationError("maze extent too small for passage width")
-    nx = mx * pitch + wall
-    ny = my * pitch + wall
-    cells = np.full((ny, nx), OCCUPIED, dtype=np.uint8)
+    lattice = np.zeros((2 * my + 1, 2 * mx + 1), dtype=bool)
 
     rng = random.Random(seed)
-    visited = np.zeros((my, mx), dtype=bool)
-
-    def carve_cell(cx, cy):
-        x0 = wall + cx * pitch
-        y0 = wall + cy * pitch
-        cells[y0:y0 + p, x0:x0 + p] = FREE
-
-    def carve_link(ax, ay, bx, by):
-        x0 = wall + min(ax, bx) * pitch
-        y0 = wall + min(ay, by) * pitch
-        if ax == bx:
-            cells[y0 + p:y0 + pitch, x0:x0 + p] = FREE
-        else:
-            cells[y0:y0 + p, x0 + p:x0 + pitch] = FREE
-
-    stack = [(0, 0)]
-    visited[0, 0] = True
-    carve_cell(0, 0)
+    stack = [(1, 1)]
+    lattice[1, 1] = True
     while stack:
-        cx, cy = stack[-1]
-        options = [(cx + dx, cy + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                   if 0 <= cx + dx < mx and 0 <= cy + dy < my and not visited[cy + dy, cx + dx]]
+        x, y = stack[-1]
+        options = [(x + dx, y + dy) for dx, dy in ((2, 0), (-2, 0), (0, 2), (0, -2))
+                   if 0 < x + dx < 2 * mx and 0 < y + dy < 2 * my
+                   and not lattice[y + dy, x + dx]]
         if not options:
             stack.pop()
             continue
         nxt = options[rng.randrange(len(options))]
-        visited[nxt[1], nxt[0]] = True
-        carve_cell(*nxt)
-        carve_link(cx, cy, *nxt)
+        lattice[nxt[1], nxt[0]] = lattice[(y + nxt[1]) // 2, (x + nxt[0]) // 2] = True
         stack.append(nxt)
+    cells = np.where(lattice, FREE, OCCUPIED).astype(np.uint8)
+    for axis, m in ((0, my), (1, mx)):
+        cells = np.repeat(cells, np.resize([1, p], 2 * m + 1), axis=axis)
     return cells
 
 
@@ -240,6 +218,6 @@ _BUILDERS = {
     "maze": _maze,
     "corridor_u": _corridor_u,
     "corridor_acute": _corridor_acute,
-    "open_room": _open_room,
+    "open_room": lambda params, seed: _bordered(params.nx, params.ny),
 }
 WORLD_KINDS = tuple(_BUILDERS)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from navbench import harness
 from navbench.gridmap import CellState, OccupancyGrid
+from navbench.suitegen import build_default_suite
+from navbench.world import load_scenario
 
 
 def random_grid(rng, width, height, resolution=0.1, p_occ=0.1, origin=(0.0, 0.0)):
@@ -29,3 +32,13 @@ def brute_force_distance(grid, unknown_as_occupied=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def scenes(tmp_path_factory):
+    """The seed-0 `--pairs 1` suite as {name: Scenario}, in manifest order.
+    Its grids are read-only, so the tests share one build."""
+    manifest = build_default_suite(str(tmp_path_factory.mktemp("suite0")), seed=0,
+                                   pairs_per_scene=1)
+    return {scn.name: scn for scn in
+            (load_scenario(path) for _, path in harness.parse_suite(manifest))}

@@ -8,16 +8,7 @@ import pytest
 
 from navbench import harness
 from navbench.gridmap import OccupancyGrid
-from navbench.suitegen import build_default_suite
-from navbench.world import DynamicAgent, load_scenario, stamp_agents
-
-
-@pytest.fixture(scope="module")
-def scenes(tmp_path_factory):
-    root = tmp_path_factory.mktemp("suite")
-    manifest = build_default_suite(str(root), seed=0, pairs_per_scene=1)
-    return {scn.name: scn for scn in
-            (load_scenario(path) for _, path in harness.parse_suite(manifest))}
+from navbench.world import DynamicAgent, stamp_agents
 
 
 def _reference_segments(agent):

@@ -18,8 +18,6 @@ import navbench.gridmap as gridmap
 from navbench import harness
 from navbench.gridmap import CellState, beam_count, integrate_scan, raycast
 from navbench.metrics import write_log_csv
-from navbench.suitegen import build_default_suite
-from navbench.world import load_scenario
 from test_sensing_kernels import old_march
 
 HEADINGS = (0.0, math.pi / 2, -math.pi / 2, math.pi, math.pi / 4)
@@ -40,14 +38,6 @@ def reference_integrate_scan(known, truth, pose, spec):
     new[crossed & (new == CellState.UNKNOWN)] = CellState.FREE
     new[crossed & occupied] = CellState.OCCUPIED
     return known.with_cells(new)
-
-
-@pytest.fixture(scope="module")
-def scenes(tmp_path_factory):
-    root = tmp_path_factory.mktemp("suite")
-    manifest = build_default_suite(str(root), seed=0, pairs_per_scene=1)
-    return {scn.name: scn for scn in
-            (load_scenario(path) for _, path in harness.parse_suite(manifest))}
 
 
 def _unknown_masks(grid, rng):

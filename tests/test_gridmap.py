@@ -12,6 +12,7 @@ from navbench.gridmap import (CellState, DistanceField, OccupancyGrid, ScanSpec,
                               distance_transform, integrate_scan, load_grid,
                               mask_unknown_region, raycast, sample_field,
                               save_grid, signed_distance_field)
+from navbench.world import load_scenario
 
 from conftest import brute_force_distance, random_grid
 
@@ -450,6 +451,23 @@ def test_grid_file_rejects_a_negative_size(tmp_path, size):
     with pytest.raises(ParseError) as err:
         load_grid(path)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("header, message", [
+    ("grid 0 2 0.1 0 0", "grid must be at least 1x1"),
+    ("grid 2 2 -0.1 0 0", "grid resolution must be positive"),
+])
+def test_grid_file_reports_a_bad_geometry_at_its_header(tmp_path, header, message):
+    """Also when read through a scene: the error names the grid file."""
+    path = tmp_path / "bad.grid"
+    path.write_text(f"{header}\n..\n..\n")
+    with pytest.raises(ParseError, match=message) as err:
+        load_grid(path)
+    assert err.value.path == path and err.value.line == 1
+    (tmp_path / "bad.scene").write_text("name bad\nmap bad.grid\n")
+    with pytest.raises(ParseError, match=message) as err:
+        load_scenario(str(tmp_path / "bad.scene"))
+    assert err.value.path == str(path) and err.value.line == 1
 
 
 @pytest.mark.parametrize("values", ["nan 0 0", "0.1 inf 0", "0.1 0 -inf"])

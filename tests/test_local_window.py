@@ -30,11 +30,6 @@ def _suite(root, seed):
             (load_scenario(path) for _, path in harness.parse_suite(manifest))}
 
 
-@pytest.fixture(scope="module")
-def scenes(tmp_path_factory):
-    return _suite(tmp_path_factory.mktemp("suite0"), 0)
-
-
 def _centers(grid, rng, n):
     """`n` random free cell centers, a quarter of them within half a crop of
     the map edge, so their crops are clamped."""

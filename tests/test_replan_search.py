@@ -22,19 +22,10 @@ from navbench.global_planner import cost_to_go, plan_global
 from navbench.gridmap import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, UnknownAs,
                               distance_at, distance_transform)
 from navbench.metrics import write_log_csv
-from navbench.suitegen import build_default_suite
-from navbench.world import load_scenario, stamp_agents
+from navbench.world import stamp_agents
 
 RADIUS = harness.KinematicLimits().radius
 TICKS = 18
-
-
-@pytest.fixture(scope="module")
-def scenes(tmp_path_factory):
-    manifest = build_default_suite(str(tmp_path_factory.mktemp("suite")), seed=0,
-                                   pairs_per_scene=1)
-    return {scn.name: scn for scn in
-            (load_scenario(path) for _, path in harness.parse_suite(manifest))}
 
 
 @pytest.fixture

@@ -13,13 +13,10 @@ import numpy as np
 import pytest
 
 import navbench.gridmap as gridmap
-from navbench import harness
 from navbench.gridmap import (INF_SENTINEL_M, CellState, DistanceField, OccupancyGrid,
                               OutOfBoundsError, _catmull_rom_dweights, _catmull_rom_weights,
                               _march, distance_at, distance_at_clamped, raycast,
                               sample_field)
-from navbench.suitegen import build_default_suite
-from navbench.world import load_scenario
 
 DIAG = math.sqrt(0.5)
 
@@ -263,18 +260,11 @@ def test_march_tie_steps_x_first():
     assert (seen == want).all()
 
 
-@pytest.fixture(scope="module")
-def scenes(tmp_path_factory):
-    root = tmp_path_factory.mktemp("suite")
-    manifest = build_default_suite(str(root), seed=0, pairs_per_scene=1)
-    return [load_scenario(path) for _, path in harness.parse_suite(manifest)]
-
-
 def test_raycast_matches_parent_in_suite_scenes(scenes, monkeypatch):
     assert len(scenes) == 8
     rng = np.random.default_rng(11)
     cases = []
-    for scn in scenes:
+    for scn in scenes.values():
         grid = scn.map
         iy, ix = np.nonzero(grid.cells == CellState.FREE)
         for k in range(20):

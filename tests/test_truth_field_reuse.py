@@ -12,18 +12,8 @@ import pytest
 
 from navbench import harness
 from navbench.metrics import write_log_csv
-from navbench.suitegen import build_default_suite
-from navbench.world import load_scenario
 
 TICKS = 15
-
-
-@pytest.fixture(scope="module")
-def scenes(tmp_path_factory):
-    root = tmp_path_factory.mktemp("suite")
-    manifest = build_default_suite(str(root), seed=0, pairs_per_scene=1)
-    return {scn.name: scn for scn in
-            (load_scenario(path) for _, path in harness.parse_suite(manifest))}
 
 
 def _run(monkeypatch, tmp_path, scn, reuse):

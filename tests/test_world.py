@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import math
 
@@ -132,6 +133,34 @@ def test_generators_deterministic():
         c = generate_world(kind, params, seed=6)
         if kind in ("office", "maze"):  # randomized kinds must react to the seed
             assert not np.array_equal(a.cells, c.cells)
+
+
+# The six `generate_world` calls of `build_default_suite`, as (kind, params,
+# seed offset), and the SHA-1 of each world's cells at suite seeds 0 and 1:
+# generated scenes keep their bytes across refactors of the generators.
+SUITE_WORLDS = [
+    ("office", WorldParams(16.0, 12.0, passage_width=1.0, clutter=6), 1),
+    ("office", WorldParams(11.0, 9.0, passage_width=0.9, clutter=8), 2),
+    ("maze", WorldParams(12.1, 12.1, passage_width=1.1), 3),
+    ("corridor_u", WorldParams(8.0, 7.0, passage_width=1.0), 4),
+    ("corridor_acute", WorldParams(12.0, 9.0, passage_width=1.1), 5),
+    ("open_room", WorldParams(10.0, 10.0), 6),
+]
+SUITE_WORLD_SHA1 = {
+    0: ["c400a43043090c2a1dd054d0b2b62253f686b36c", "bd3d53b96050475ea10e00b746a624b688637dd0",
+        "76a4e45ebe97e91993c551e15a8e0ff649282570", "81b202a7e4988940ad3859c33d6256b107948139",
+        "a763b1c13de6de7164c117c90bbf6b008fc6577c", "96ffc8afe621f329e47f4a09c13f81f0c1cd3f16"],
+    1: ["53850c4f1f409d511f5667661202ac9952383f6d", "99a66023a2f13e2d549e6690c34e1fa825efc7de",
+        "c42eee112d3e0fd23c61878949a07445a55f4763", "81b202a7e4988940ad3859c33d6256b107948139",
+        "a763b1c13de6de7164c117c90bbf6b008fc6577c", "96ffc8afe621f329e47f4a09c13f81f0c1cd3f16"],
+}
+
+
+@pytest.mark.parametrize("suite_seed", sorted(SUITE_WORLD_SHA1))
+def test_suite_worlds_keep_their_bytes(suite_seed):
+    for (kind, params, offset), want in zip(SUITE_WORLDS, SUITE_WORLD_SHA1[suite_seed]):
+        cells = generate_world(kind, params, suite_seed + offset).cells
+        assert hashlib.sha1(cells.tobytes()).hexdigest() == want, kind
 
 
 def test_corridor_u_half_width_bound():
